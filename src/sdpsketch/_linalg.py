@@ -52,10 +52,6 @@ def sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def eigh_smallest(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(sym(mat))[0])
-
-
 def psd_project(mat: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
     w, v = np.linalg.eigh(sym(mat))
@@ -85,14 +81,6 @@ def nullspace(mat: np.ndarray, rcond: float = 1e-11) -> np.ndarray:
     tol = rcond * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > tol))
     return vh[rank:].T.copy()
-
-
-def orth_rows(mat: np.ndarray, rcond: float = 1e-11) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of mat."""
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    tol = rcond * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return vh[:rank].copy()
 
 
 def aggregate_congruence_operator(p_stack: np.ndarray, q_stack: np.ndarray) -> np.ndarray:
@@ -153,18 +141,3 @@ def projection_hessian_band(pt: np.ndarray, a: int, out: np.ndarray) -> None:
     blk = (pt[a * n:] @ pt[a * n:(a + 1) * n].T).reshape(n - a, n, n)
     out[rows] = blk[:, ic, jd] + blk[:, jd, ic]
     out[rows] *= 0.5 * w[rows, None] * w[None, :]
-
-
-def congruence_svec_matrix(u: np.ndarray) -> np.ndarray:
-    """svec-coordinate matrix of S -> U S U' mapping svec_r to svec_n (U is n x r)."""
-    n, r = u.shape
-    ia, ib = triu_indices(r)
-    w = _svec_weights(r)
-    # Column for position (a,b): svec(sym(u_a u_b')) with the isometric weight undone.
-    cols = u[:, ia][:, None, :] * u[:, ib][None, :, :]
-    cols = 0.5 * (cols + cols.transpose(1, 0, 2))
-    oa, ob = triu_indices(n)
-    wn = _svec_weights(n)
-    mat = cols[oa, ob, :] * wn[:, None]
-    # Per-column factor mult/w where mult is 2 off-diagonal, 1 on it: equals w.
-    return mat * w[None, :]

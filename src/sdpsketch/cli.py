@@ -113,6 +113,11 @@ def _load_problem_file(path: str):
 
 def _cmd_solve(args) -> int:
     problem = _load_problem_file(args.problem_file)
+    if args.mode == "consensus" and not isinstance(problem, BlockSdp):
+        raise SystemExit(
+            f"error: {args.problem_file} holds an sdp_problem; consensus mode solves "
+            "block_sdp documents (restricted dual or projected primal)"
+        )
     cfg = SolverConfig(
         tolerance=args.tolerance if args.tolerance is not None else 1e-8,
         mode="consensus" if args.mode == "consensus" else "interior_point",

@@ -1,20 +1,21 @@
 """Internal standard conic form shared by the interior-point and consensus
 solvers:
 
-    min  sum_b <D_b, S_b> + d'u
-    s.t. rows(S, u) = g,   S_b PSD,   u free
+    min  sum_b <D_b, S_b>
+    s.t. rows(S) = g,   S_b PSD
 
 Row systems come in two layouts: explicit stacked constraint matrices
-(DenseRows), and the projected layout where every conic block enters each row
-through a congruence U_i' (.) U_i against a shared family of base-space rows
-(ProjectedRows).  The projected layout assembles its Schur complement through
-one aggregated kernel per base block instead of per-block tensors.
+(DenseRows, the canonical pair), and the restricted layout where every conic
+block enters each row through a congruence U_i' (.) U_i against a shared
+family of base-space rows (ProjectedRows).  The restricted layout assembles
+its Schur complement through one aggregated kernel per base block instead of
+per-block tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,19 +23,15 @@ from ._linalg import aggregate_congruence_operator, smat, svec, sym
 
 
 class RowOps:
-    """Linear row system over (PSD blocks, free vector)."""
+    """Linear row system over PSD blocks."""
 
     num_rows: int
-    num_free: int
     block_dims: Tuple[int, ...]
 
-    def apply(self, blocks: Sequence[np.ndarray], free: Optional[np.ndarray]) -> np.ndarray:
+    def apply(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
     def adjoint_blocks(self, w: np.ndarray) -> List[np.ndarray]:
-        raise NotImplementedError
-
-    def adjoint_free(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def schur(self, x_blocks: Sequence[np.ndarray], zinv_blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -42,35 +39,26 @@ class RowOps:
 
     def row_inner(self, mats: Sequence[np.ndarray]) -> np.ndarray:
         """<A_j, sym(mat)> per row; mats need not be symmetric."""
-        return self.apply([sym(m) for m in mats], None)
+        return self.apply([sym(m) for m in mats])
 
 
 class DenseRows(RowOps):
-    """Rows stored as stacked (num_rows, r_b, r_b) tensors plus a free-column matrix."""
+    """Rows stored as stacked (num_rows, r_b, r_b) tensors."""
 
-    def __init__(self, tensors: List[np.ndarray], free_cols: Optional[np.ndarray], num_rows: int):
+    def __init__(self, tensors: List[np.ndarray], num_rows: int):
         self.tensors = [np.ascontiguousarray(t, dtype=float) for t in tensors]
         self.block_dims = tuple(t.shape[-1] for t in self.tensors)
         self.num_rows = num_rows
         self.flat = [t.reshape(num_rows, t.shape[-1] ** 2) for t in self.tensors]
-        self.free_cols = None if free_cols is None else np.asarray(free_cols, dtype=float)
-        self.num_free = 0 if self.free_cols is None else self.free_cols.shape[1]
 
-    def apply(self, blocks, free=None):
+    def apply(self, blocks):
         out = np.zeros(self.num_rows)
         for f, s in zip(self.flat, blocks):
             out += f @ np.ravel(s)
-        if free is not None and self.num_free:
-            out += self.free_cols @ free
         return out
 
     def adjoint_blocks(self, w):
         return [(w @ f).reshape(r, r) for f, r in zip(self.flat, self.block_dims)]
-
-    def adjoint_free(self, w):
-        if not self.num_free:
-            return np.zeros(0)
-        return self.free_cols.T @ w
 
     def schur(self, x_blocks, zinv_blocks):
         m = self.num_rows
@@ -97,7 +85,6 @@ class ProjectedRows(RowOps):
         self.row_segments = [np.ascontiguousarray(r, dtype=float) for r in row_segments]
         self.num_rows = row_segments[0].shape[0]
         assert all(r.shape[0] == self.num_rows for r in row_segments)
-        self.num_free = 0
         dims = []
         for u in self.u_stacks:
             dims.extend([u.shape[2]] * u.shape[0])
@@ -117,7 +104,7 @@ class ProjectedRows(RowOps):
             out.append(np.einsum("inr,imr->nm", tmp, u, optimize=True))
         return out
 
-    def apply(self, blocks, free=None):
+    def apply(self, blocks):
         out = np.zeros(self.num_rows)
         for lifted, rows in zip(self.lift(blocks), self.row_segments):
             out += rows @ svec(sym(lifted))
@@ -131,9 +118,6 @@ class ProjectedRows(RowOps):
             out = np.einsum("inr,ins->irs", u, tmp, optimize=True)
             mats.extend(sym(out[i]) for i in range(u.shape[0]))
         return mats
-
-    def adjoint_free(self, w):
-        return np.zeros(0)
 
     def schur(self, x_blocks, zinv_blocks):
         m = self.num_rows
@@ -152,7 +136,7 @@ class ProjectedRows(RowOps):
 
 @dataclass
 class ConicProgram:
-    """min <D, S> + d'u  s.t.  ops(S, u) = g,  S PSD blocks, u free.
+    """min <D, S>  s.t.  ops(S) = g,  S PSD blocks.
 
     gap_offset/gap_flip describe how the caller's objective relates to the
     internal one (user = gap_offset - internal when flipped, + otherwise) so
@@ -161,27 +145,10 @@ class ConicProgram:
 
     ops: RowOps
     rhs: np.ndarray
-    block_costs: Optional[List[np.ndarray]] = None
-    free_cost: Optional[np.ndarray] = None
+    block_costs: List[np.ndarray]
     gap_offset: float = 0.0
     gap_flip: bool = False
 
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=float)
-        dims = self.ops.block_dims
-        if self.block_costs is None:
-            self.block_costs = [np.zeros((d, d)) for d in dims]
         self.block_costs = [np.asarray(c, dtype=float) for c in self.block_costs]
-        if self.free_cost is None:
-            self.free_cost = np.zeros(self.ops.num_free)
-        self.free_cost = np.asarray(self.free_cost, dtype=float)
-
-    @property
-    def block_dims(self) -> Tuple[int, ...]:
-        return self.ops.block_dims
-
-    def cost(self, blocks: Sequence[np.ndarray], free: np.ndarray) -> float:
-        val = sum(float(np.tensordot(d, s)) for d, s in zip(self.block_costs, blocks))
-        if self.free_cost.size:
-            val += float(self.free_cost @ free)
-        return val

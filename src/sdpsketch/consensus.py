@@ -41,7 +41,7 @@ from ._blas import limit_blas_threads
 from ._linalg import projection_hessian_band, projection_products, smat, svec, sym
 from ._team import Arena, Team
 from .sketch import BlockSdp, lift_blocks
-from .solver import Solution, Status, _plain_upper, _RestrictedReduction, kkt_residuals
+from .solver import Solution, Status, _plain_upper, kkt_residuals, restricted_reduction
 
 # Fixed partitions of the parallel work.  None depends on the worker count,
 # so neither does any rounding error.
@@ -311,10 +311,7 @@ def solve_consensus(problem: BlockSdp, config) -> Solution:
     if not isinstance(problem, BlockSdp) or problem.kind != "restricted_dual":
         raise TypeError("consensus mode expects a restricted-dual BlockSdp")
     t_start = time.perf_counter()
-    red = getattr(problem, "_reduction", None)
-    if red is None:
-        red = _RestrictedReduction(problem)
-        problem._reduction = red
+    red = restricted_reduction(problem.base)
     with limit_blas_threads(1):
         ws = _Workspace([_Group(ens) for ens in problem.ensembles], red.offsets, red.a_mat,
                         config.workers)

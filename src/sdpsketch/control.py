@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .polynomial import (
+    Basis,
     Monomial,
     Polynomial,
     evaluate,
@@ -121,24 +122,11 @@ def _embed_state_monomial(mono: Monomial, num_controls: int) -> Monomial:
     return tuple(mono) + (0,) * num_controls
 
 
-def _state_basis_joint(cp: ControlProblem, degree: int) -> List[Polynomial]:
-    """Value-basis monomials as polynomials over the joint (x, u) space."""
-    basis = monomial_basis(cp.num_states, degree)
-    nv = cp.num_vars
-    return [
-        Polynomial(nv, {_embed_state_monomial(m, cp.num_controls): 1.0})
-        for m in basis.elements
-    ]
+def _value_pieces(cp: ControlProblem) -> List[Tuple[Basis, Optional[Polynomial]]]:
+    """(basis, multiplier) of each Gram block of V: V = sum_b mult_b * z_b' Q_b z_b.
 
-
-def _value_block_specs(cp: ControlProblem):
-    """Gram block specs for V itself (plus ball localizer when configured).
-
-    Returns (specs_for_bellman_rows, per-block data for reconstructing V).
-    Each spec's entry polynomial is grad(w).f for the entry's base polynomial
-    w, and the objective matrix evaluates w at x0 minus at xT.
+    The plain value block, plus the ball localizer's when configured.
     """
-    nv = cp.num_vars
     pieces = [(monomial_basis(cp.num_states, cp.value_degree), None)]
     if cp.state_ball_radius is not None:
         g_state = _ball_polynomial(cp.num_states, cp.state_ball_radius)
@@ -146,13 +134,21 @@ def _value_block_specs(cp: ControlProblem):
         if deg < 0:
             raise ValueError("value_degree too small for a ball localizer")
         pieces.append((monomial_basis(cp.num_states, deg), g_state))
+    return pieces
 
+
+def _value_block_specs(cp: ControlProblem) -> List[GramBlockSpec]:
+    """Gram block specs for V itself (plus ball localizer when configured).
+
+    Each spec's entry polynomial is grad(w).f for the entry's base polynomial
+    w, and the objective matrix evaluates w at x0 minus at xT.
+    """
+    nv = cp.num_vars
     x0u = np.concatenate([cp.x0, np.zeros(cp.num_controls)])
     xTu = np.concatenate([cp.xT, np.zeros(cp.num_controls)])
 
     specs = []
-    recon = []
-    for basis, mult in pieces:
+    for basis, mult in _value_pieces(cp):
         joint = [
             Polynomial(nv, {_embed_state_monomial(m, cp.num_controls): 1.0})
             for m in basis.elements
@@ -180,8 +176,7 @@ def _value_block_specs(cp: ControlProblem):
                 objective[i, j] = val
                 objective[j, i] = val
         specs.append(GramBlockSpec(basis=basis, entry_polys=entry_polys, objective=objective))
-        recon.append((basis, mult))
-    return specs, recon
+    return specs
 
 
 def compile_poc(cp: ControlProblem) -> SdpProblem:
@@ -191,7 +186,7 @@ def compile_poc(cp: ControlProblem) -> SdpProblem:
     block (over the joint basis) is the moment-bearing one.
     """
     nv = cp.num_vars
-    value_specs, recon = _value_block_specs(cp)
+    value_specs = _value_block_specs(cp)
 
     cert_specs = []
     cert_basis = monomial_basis(nv, cp.certificate_degree)
@@ -205,9 +200,7 @@ def compile_poc(cp: ControlProblem) -> SdpProblem:
 
     blocks = value_specs + cert_specs
     target = -cp.cost
-    prob = matching_program(blocks, target, moment_block=len(value_specs))
-    prob._control_recon = recon  # used by extract_value_function
-    return prob
+    return matching_program(blocks, target, moment_block=len(value_specs))
 
 
 def _negated(spec: GramBlockSpec) -> GramBlockSpec:
@@ -219,12 +212,18 @@ def _negated(spec: GramBlockSpec) -> GramBlockSpec:
 
 
 def extract_value_function(problem: SdpProblem, solution, cp: ControlProblem) -> Polynomial:
-    """Rebuild V(x) from the Gram blocks of a solved compiled problem."""
-    recon = getattr(problem, "_control_recon", None)
-    if recon is None:
-        raise ValueError("problem was not produced by compile_poc")
+    """Rebuild V(x) from the Gram blocks of compile_poc(cp), solved."""
+    pieces = _value_pieces(cp)
+    shapes = [(len(basis), len(basis)) for basis, _ in pieces]
+    if (
+        not isinstance(problem, SdpProblem)
+        or [(n, n) for n in problem.block_dims[:len(pieces)]] != shapes
+        or [q.shape for q in solution.psd_blocks[:len(pieces)]] != shapes
+    ):
+        raise ValueError("the solution's leading blocks are not the value-function "
+                         "Gram blocks of this control problem")
     v = Polynomial(cp.num_states, {})
-    for b, (basis, mult) in enumerate(recon):
+    for b, (basis, mult) in enumerate(pieces):
         q = solution.psd_blocks[b]
         nb = len(basis)
         for i in range(nb):

@@ -1,15 +1,15 @@
 """Primal-dual interior-point solver on the homogeneous self-dual embedding.
 
-HKM-style symmetrized directions with a Mehrotra predictor-corrector, dense
-Schur complements, free variables carried as a bordered block of the Schur
-system.  The embedding supplies certificates when the solved problem
-(min <D,S> + d'u  s.t. rows = g, S PSD) is infeasible or unbounded; the
+HKM-style symmetrized directions with a Mehrotra predictor-corrector and a
+dense Schur complement, bordered by one row and column for tau.  The
+embedding supplies certificates when the solved problem
+(min <D,S>  s.t. rows = g, S PSD) is infeasible or unbounded; the
 tau/kappa indicator gates which branch is reported.
 
-Embedding variables (X, u, w, Z, tau, kappa) satisfy at a solution:
-    rows(X, u) - g tau              = 0
-    adj(w) + Z - D tau              = 0   (cone part; free part: F'w - d tau = 0)
-    g'w - <D,X> - d'u - kappa       = 0
+Embedding variables (X, w, Z, tau, kappa) satisfy at a solution:
+    rows(X) - g tau           = 0
+    adj(w) + Z - D tau        = 0
+    g'w - <D,X> - kappa       = 0
     X, Z PSD, tau, kappa >= 0, complementary.
 """
 
@@ -47,7 +47,6 @@ class IpmOptions:
 class ConicResult:
     status: str
     x_blocks: List[np.ndarray]
-    u: np.ndarray
     w: np.ndarray
     z_blocks: List[np.ndarray]
     primal_objective: float
@@ -64,20 +63,6 @@ def _chol_ok(mat) -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-def _free_matrix(ops) -> np.ndarray:
-    cached = getattr(ops, "_free_matrix_cache", None)
-    if cached is not None:
-        return cached
-    F = np.zeros((ops.num_rows, ops.num_free))
-    zero_blocks = [np.zeros((d, d)) for d in ops.block_dims]
-    for t in range(ops.num_free):
-        e = np.zeros(ops.num_free)
-        e[t] = 1.0
-        F[:, t] = ops.apply(zero_blocks, e)
-    ops._free_matrix_cache = F
-    return F
 
 
 def _max_alpha(X, Z, dX, dZ, tau, kappa, dtau, dkappa, fraction) -> float:
@@ -98,48 +83,35 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
     ops = prog.ops
     dims = list(ops.block_dims)
     m = ops.num_rows
-    nf = ops.num_free
 
     # Joint data scaling keeps the identity start sensible.
     s_g = max(1.0, float(np.linalg.norm(prog.rhs)))
-    c_norm = np.sqrt(
-        sum(float(np.sum(d * d)) for d in prog.block_costs)
-        + float(prog.free_cost @ prog.free_cost)
-    )
+    c_norm = np.sqrt(sum(float(np.sum(d * d)) for d in prog.block_costs))
     s_c = max(1.0, c_norm)
     g = prog.rhs / s_g
     D = [d / s_c for d in prog.block_costs]
-    d_free = prog.free_cost / s_c
     g_norm = float(np.linalg.norm(g))
-    c_scaled = np.sqrt(sum(float(np.sum(d * d)) for d in D) + float(d_free @ d_free))
+    c_scaled = np.sqrt(sum(float(np.sum(d * d)) for d in D))
 
     X = [np.eye(d) for d in dims]
     Z = [np.eye(d) for d in dims]
-    u = np.zeros(nf)
     w = np.zeros(m)
     tau, kappa = 1.0, 1.0
     nu = sum(dims) + 1.0
-    F = _free_matrix(ops) if nf else None
 
-    def cost_of(xb, uf) -> float:
-        val = sum(float(np.tensordot(db, x)) for db, x in zip(D, xb))
-        if nf:
-            val += float(d_free @ uf)
-        return val
+    def cost_of(xb) -> float:
+        return sum(float(np.tensordot(db, x)) for db, x in zip(D, xb))
 
     def scaled_residuals():
         # Residuals in raw data units so termination matches external replay.
         xh = [x / tau for x in X]
-        uh = u / tau
         wh = w / tau
         zh = [z / tau for z in Z]
-        pres = s_g * np.linalg.norm(ops.apply(xh, uh) - g) / (1.0 + s_g * g_norm)
+        pres = s_g * np.linalg.norm(ops.apply(xh) - g) / (1.0 + s_g * g_norm)
         adjb = ops.adjoint_blocks(wh)
         dn2 = sum(float(np.sum((ab + zb - db) ** 2)) for ab, zb, db in zip(adjb, zh, D))
-        if nf:
-            dn2 += float(np.sum((ops.adjoint_free(wh) - d_free) ** 2))
         dres = s_c * np.sqrt(dn2) / (1.0 + s_c * c_scaled)
-        pobj = cost_of(xh, uh) * s_c * s_g
+        pobj = cost_of(xh) * s_c * s_g
         dobj = float(g @ wh) * s_c * s_g
         sign = -1.0 if prog.gap_flip else 1.0
         pu = prog.gap_offset + sign * pobj
@@ -165,7 +137,7 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
         score = max(pres, dres, gap)
         if score < best_score:
             best_score = score
-            best_state = ([x.copy() for x in X], u.copy(), w.copy(),
+            best_state = ([x.copy() for x in X], w.copy(),
                           [z.copy() for z in Z], tau, kappa)
         if pres <= opts.tolerance and dres <= opts.tolerance and gap <= opts.tolerance:
             status = OPTIMAL
@@ -178,23 +150,19 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
             wn = w / by
             zn = [z / by for z in Z]
             adjb = ops.adjoint_blocks(wn)
-            cert_res = np.sqrt(
-                sum(float(np.sum((ab + zb) ** 2)) for ab, zb in zip(adjb, zn))
-                + (float(np.sum(ops.adjoint_free(wn) ** 2)) if nf else 0.0)
-            )
+            cert_res = np.sqrt(sum(float(np.sum((ab + zb) ** 2)) for ab, zb in zip(adjb, zn)))
             if cert_res <= opts.infeasibility_tol * (1.0 + np.linalg.norm(wn)):
                 status = PRIMAL_INFEASIBLE
                 certificate = {"w": wn, "z_blocks": zn}
                 break
-        cx = cost_of(X, u)
+        cx = cost_of(X)
         if cx < 0.0 and tk_gate:
             xn = [x / (-cx) for x in X]
-            un = u / (-cx)
-            cert_res = float(np.linalg.norm(ops.apply(xn, un)))
+            cert_res = float(np.linalg.norm(ops.apply(xn)))
             xn_norm = np.sqrt(sum(float(np.sum(x * x)) for x in xn))
             if cert_res <= opts.infeasibility_tol * (1.0 + xn_norm):
                 status = DUAL_INFEASIBLE
-                certificate = {"x_blocks": xn, "u": un}
+                certificate = {"x_blocks": xn}
                 break
 
         if not all(_chol_ok(z) for z in Z) or not all(_chol_ok(x) for x in X):
@@ -204,24 +172,18 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
 
         M = ops.schur(X, zinvs)
 
-        r1 = ops.apply(X, u) - g * tau
+        r1 = ops.apply(X) - g * tau
         adjw = ops.adjoint_blocks(w)
         r2b = [ab + z - db * tau for ab, z, db in zip(adjw, Z, D)]
-        r2f = (ops.adjoint_free(w) - d_free * tau) if nf else np.zeros(0)
-        r3 = float(g @ w) - cost_of(X, u) - kappa
+        r3 = float(g @ w) - cost_of(X) - kappa
 
         xdz = [x @ db @ zi for x, db, zi in zip(X, D, zinvs)]
         p_vec = ops.row_inner(xdz)
         p_d = sum(float(np.tensordot(db, sym(t))) for db, t in zip(D, xdz))
 
-        dim = m + nf + 1
+        dim = m + 1
         border = np.zeros((dim, dim))
         border[:m, :m] = M
-        if nf:
-            border[:m, m:m + nf] = F
-            border[m:m + nf, :m] = F.T
-            border[m:m + nf, dim - 1] = -d_free
-            border[dim - 1, m:m + nf] = -d_free
         border[:m, dim - 1] = -(g + p_vec)
         border[dim - 1, :m] = g - p_vec
         border[dim - 1, dim - 1] = p_d + kappa / tau
@@ -257,8 +219,6 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
             q_d = sum(float(np.tensordot(db, sym(c))) for db, c in zip(D, corr))
             rhs = np.zeros(dim)
             rhs[:m] = -r1 - q_vec
-            if nf:
-                rhs[m:m + nf] = -r2f
             rhs[dim - 1] = -r3 + q_d + (rho_tk - tau * kappa) / tau
             sol = lu_solve(lu, rhs, check_finite=False)
             # Refine against the unregularized system; recovers accuracy lost
@@ -269,7 +229,6 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
                     break
                 sol = sol + lu_solve(lu, resid, check_finite=False)
             dw = sol[:m]
-            du = sol[m:m + nf]
             dtau = float(sol[dim - 1])
             adj_dw = ops.adjoint_blocks(dw)
             dZ = [-r2 + db * dtau - ab for r2, db, ab in zip(r2b, D, adj_dw)]
@@ -278,10 +237,10 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
                 for c, t, x, ab, zi in zip(corr, xdz, X, adj_dw, zinvs)
             ]
             dkappa = (rho_tk - tau * kappa - kappa * dtau) / tau
-            return dX, du, dw, dZ, dtau, dkappa
+            return dX, dw, dZ, dtau, dkappa
 
         zero_rho = [np.zeros((d, d)) for d in dims]
-        dXa, dua, dwa, dZa, dtaua, dkappaa = newton_pass(zero_rho, 0.0)
+        dXa, dwa, dZa, dtaua, dkappaa = newton_pass(zero_rho, 0.0)
         alpha_a = _max_alpha(X, Z, dXa, dZa, tau, kappa, dtaua, dkappaa, 1.0)
         mu_aff = (
             sum(
@@ -295,7 +254,7 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
         rho_blocks = [sigma * mu * np.eye(d) - dxa @ dza
                       for d, dxa, dza in zip(dims, dXa, dZa)]
         rho_tk = sigma * mu - dtaua * dkappaa
-        dX, du, dw, dZ, dtau, dkappa = newton_pass(rho_blocks, rho_tk)
+        dX, dw, dZ, dtau, dkappa = newton_pass(rho_blocks, rho_tk)
 
         alpha = _max_alpha(X, Z, dX, dZ, tau, kappa, dtau, dkappa, opts.step_fraction)
         for _ in range(40):
@@ -324,7 +283,6 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
 
         X = [sym(x + alpha * dx) for x, dx in zip(X, dX)]
         Z = [sym(z + alpha * dz) for z, dz in zip(Z, dZ)]
-        u = u + alpha * du
         w = w + alpha * dw
         tau += alpha * dtau
         kappa += alpha * dkappa
@@ -333,7 +291,7 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
     if status not in (OPTIMAL, PRIMAL_INFEASIBLE, DUAL_INFEASIBLE) and best_state is not None:
         cur = max(scaled_residuals()[:3])
         if best_score < cur:
-            X, u, w, Z, tau, kappa = best_state
+            X, w, Z, tau, kappa = best_state
         if status == NUMERICAL_FAILURE and best_score < 1e-4:
             # The factorization gave out only after the residuals stalled.
             status = MAX_ITERATIONS
@@ -341,7 +299,6 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
     return ConicResult(
         status=status,
         x_blocks=[x * (s_g / tau) for x in X],
-        u=u * (s_g / tau),
         w=w * (s_c / tau),
         z_blocks=[z * (s_c / tau) for z in Z],
         primal_objective=pobj,

@@ -13,15 +13,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 Monomial = Tuple[int, ...]
-
-
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
 
 
 def grlex_key(mono: Monomial):
@@ -291,12 +287,4 @@ def parse_polynomial(
                     raise ValueError(f"cannot parse factor {factor!r} in {text!r}") from None
         key = tuple(expo)
         terms[key] = terms.get(key, 0.0) + coeff
-    return Polynomial(num_vars, terms)
-
-
-def poly_from_coeffs(num_vars: int, entries: Iterable[Tuple[Monomial, float]]) -> Polynomial:
-    terms: Dict[Monomial, float] = {}
-    for mono, coeff in entries:
-        mono = tuple(mono)
-        terms[mono] = terms.get(mono, 0.0) + coeff
     return Polynomial(num_vars, terms)

@@ -3,7 +3,8 @@
 restrict_dual replaces the dual slack S of the pair by a sum of projected
 blocks sum_i U_i S_i U_i' (an inner approximation: maximization value can
 only drop), project_primal imposes PSD only on U_i' X U_i (a relaxation).
-The two are conic duals of each other.
+The two are conic duals of each other, so the solver solves a projected
+primal as its restricted dual and reads X off that problem's multipliers.
 """
 
 from __future__ import annotations

@@ -5,18 +5,25 @@ dual / projected primal) and returns a Solution whose fields always mean:
 
   free_vars       the dual vector y of the pair,
   psd_blocks      the problem's own cone variables (Gram/restricted blocks
-                  for max-sense problems, primal blocks for min-sense),
+                  for max-sense problems, primal blocks for min-sense pairs),
   eq_multipliers  multipliers of the problem's equality system; for max-sense
-                  and restricted problems these are the entries of the
+                  and block problems these are the entries of the
                   moment-side matrix (upper triangle, row-major, unscaled).
 
 Statuses and +/-inf objectives follow the problem sense.
+
+The projected primal is the conic dual of the restricted dual, so it is
+solved as that restricted dual, in either mode, with Infeasible and
+Unbounded swapped: its X is in moment_matrices, y in free_vars, and
+psd_blocks and certificate hold the restricted dual's S_i and certificate.
+Every BlockSdp is thus solved, and its KKT residuals replayed, in one layout.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,18 +33,19 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._linalg import smat, svec, svec_dim, sym, triu_indices, congruence_svec_matrix
+from ._linalg import smat, svec, svec_dim, sym, triu_indices
 from .conic import ConicProgram, DenseRows, ProjectedRows
 from .ipm import (
     DUAL_INFEASIBLE,
     MAX_ITERATIONS,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     PRIMAL_INFEASIBLE,
     ConicResult,
     IpmOptions,
     solve_conic,
 )
-from .sketch import BlockSdp, lift_blocks
+from .sketch import BlockSdp, lift_blocks, restrict_dual
 from .sos import SdpProblem
 
 
@@ -161,21 +169,18 @@ def _mats_from_plain_upper(vec: np.ndarray, dims: Sequence[int]) -> List[np.ndar
 def _conic_from_pair(problem: SdpProblem) -> ConicProgram:
     m = problem.num_constraints
     tensors = [problem.constraint_tensor(b) for b in range(problem.num_blocks)]
-    ops = DenseRows(tensors, None, m)
     return ConicProgram(
-        ops=ops,
+        ops=DenseRows(tensors, m),
         rhs=problem.rhs,
         block_costs=list(problem.cost_blocks),
-        free_cost=None,
         gap_offset=problem.obj_offset,
     )
 
 
 class _RestrictedReduction:
-    """Free-variable elimination data for a restricted dual, cached per problem."""
+    """Free-variable elimination data shared by every restricted dual of one base problem."""
 
-    def __init__(self, bs: BlockSdp):
-        base = bs.base
+    def __init__(self, base: SdpProblem):
         sdims = [svec_dim(n) for n in base.block_dims]
         offsets = np.concatenate([[0], np.cumsum(sdims)]).astype(int)
         total = int(offsets[-1])
@@ -245,6 +250,21 @@ class _RestrictedReduction:
         ]
 
 
+_REDUCTION_LOCK = threading.Lock()  # sweep cells may be solved on threads
+
+
+def restricted_reduction(base: SdpProblem) -> _RestrictedReduction:
+    """The reduction of `base`, built on its first restriction and kept on it.
+
+    Every sweep cell of one base problem then shares one svec constraint
+    matrix and one SVD.
+    """
+    with _REDUCTION_LOCK:
+        if base.reduction is None:
+            base.reduction = _RestrictedReduction(base)
+        return base.reduction
+
+
 def _conic_from_restricted(bs: BlockSdp, red: _RestrictedReduction) -> ConicProgram:
     ops = ProjectedRows(
         base_dims=bs.base.block_dims,
@@ -257,63 +277,36 @@ def _conic_from_restricted(bs: BlockSdp, red: _RestrictedReduction) -> ConicProg
         u = ens.stack()
         d_stack = np.einsum("inr,nm,ims->irs", u, w_b, u, optimize=True)
         costs.extend(sym(d_stack[i]) for i in range(ens.N))
-    return ConicProgram(
-        ops=ops, rhs=red.rhs, block_costs=costs, free_cost=None,
-        gap_offset=red.const, gap_flip=True,
-    )
-
-
-def _conic_from_projected(bs: BlockSdp) -> ConicProgram:
-    base = bs.base
-    sdims = [svec_dim(n) for n in base.block_dims]
-    offsets = np.concatenate([[0], np.cumsum(sdims)]).astype(int)
-    nf = int(offsets[-1])
-    m = base.num_constraints
-
-    couple_rows = sum(svec_dim(ens.r) * ens.N for ens in bs.ensembles)
-    n_rows = m + couple_rows
-    free_cols = np.zeros((n_rows, nf))
-    for j, (mats, _) in enumerate(base.constraints):
-        free_cols[j, :] = np.concatenate([svec(a) for a in mats])
-
-    tensors = []
-    rhs = np.concatenate([base.rhs, np.zeros(couple_rows)])
-    row = m
-    for b, ens in enumerate(bs.ensembles):
-        for u in ens.matrices:
-            k = svec_dim(ens.r)
-            t = np.zeros((n_rows, ens.r, ens.r))
-            for idx in range(k):
-                e = np.zeros(k)
-                e[idx] = 1.0
-                t[row + idx] = smat(e, ens.r)
-            # coupling rows: svec(W) - svec(U' X U) = 0
-            phi = congruence_svec_matrix(u)  # svec_r -> svec_n of S -> U S U'
-            free_cols[row:row + k, offsets[b]:offsets[b + 1]] = -phi.T
-            tensors.append(t)
-            row += k
-
-    ops = DenseRows(tensors, free_cols, n_rows)
-    free_cost = np.concatenate([svec(c) for c in base.cost_blocks])
-    return ConicProgram(
-        ops=ops, rhs=rhs, block_costs=None, free_cost=free_cost,
-        gap_offset=base.obj_offset,
-    )
+    return ConicProgram(ops=ops, rhs=red.rhs, block_costs=costs,
+                        gap_offset=red.const, gap_flip=True)
 
 
 # ---------------------------------------------------------------------------
 # Status mapping and the public solve.
 # ---------------------------------------------------------------------------
 
-_MAPPING = {
-    ("min", PRIMAL_INFEASIBLE): (Status.Infeasible, np.inf),
-    ("min", DUAL_INFEASIBLE): (Status.Unbounded, -np.inf),
-    ("max", PRIMAL_INFEASIBLE): (Status.Unbounded, np.inf),
-    ("max", DUAL_INFEASIBLE): (Status.Infeasible, -np.inf),
+# What a conic status says about the problem that is the program's primal side.
+_STATUS = {
+    OPTIMAL: Status.Optimal,
+    PRIMAL_INFEASIBLE: Status.Infeasible,
+    DUAL_INFEASIBLE: Status.Unbounded,
+    MAX_ITERATIONS: Status.MaxIterations,
+    NUMERICAL_FAILURE: Status.NumericalFailure,
 }
+# A certified status read from the other side of a conic pair.
+_ACROSS_DUALITY = {Status.Infeasible: Status.Unbounded, Status.Unbounded: Status.Infeasible}
 
 
-def _finish(sol: Solution, config: SolverConfig, res: ConicResult, t0: float) -> Solution:
+def _certified(status: Status, sense: str, res: ConicResult) -> Solution:
+    """Infeasible or Unbounded: an infinite objective and the certificate."""
+    worst = np.inf if (status == Status.Infeasible) == (sense == "min") else -np.inf
+    return Solution(status=status, objective=worst, certificate=res.certificate)
+
+
+def _finish(sol: Solution, problem, config: SolverConfig, res: ConicResult,
+            t0: float) -> Solution:
+    if sol.status not in _ACROSS_DUALITY:
+        sol.kkt = kkt_residuals(problem, sol)
     sol.iterations = res.iterations
     sol.solve_seconds = time.perf_counter() - t0
     sol.trace = res.trace if config.keep_trace or config.trace_path else []
@@ -326,18 +319,36 @@ def _finish(sol: Solution, config: SolverConfig, res: ConicResult, t0: float) ->
 
 
 def solve(problem: Union[SdpProblem, BlockSdp], config: SolverConfig | None = None) -> Solution:
-    """Solve the pair (SdpProblem) or a projected/restricted problem (BlockSdp)."""
+    """Solve the pair (SdpProblem) or a restricted/projected problem (BlockSdp)."""
     config = config or SolverConfig()
     if config.mode == "consensus":
-        from .consensus import solve_consensus
+        from .consensus import solve_consensus as impl
+    else:
+        impl = _solve_ipm
+    return _solve_with(impl, problem, config)
 
-        return solve_consensus(problem, config)
+
+def solve_consensus(problem: BlockSdp, config: SolverConfig | None = None) -> Solution:
+    """Solve a BlockSdp in consensus mode, whatever config.mode says."""
+    from .consensus import solve_consensus as impl
+
+    return _solve_with(impl, problem, config or SolverConfig())
+
+
+def _solve_with(impl, problem, config: SolverConfig) -> Solution:
+    """impl(problem, config), with the projected primal solved as its conic dual."""
+    if isinstance(problem, BlockSdp) and problem.kind == "projected_primal":
+        sol = impl(restrict_dual(problem.base, problem.ensembles), config)
+        sol.status = _ACROSS_DUALITY.get(sol.status, sol.status)
+        return sol
+    return impl(problem, config)
+
+
+def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> Solution:
     if isinstance(problem, SdpProblem):
         return _solve_pair(problem, config)
     if isinstance(problem, BlockSdp):
-        if problem.kind == "restricted_dual":
-            return _solve_restricted(problem, config)
-        return _solve_projected(problem, config)
+        return _solve_restricted(problem, config)
     raise TypeError(f"cannot solve object of type {type(problem)!r}")
 
 
@@ -345,145 +356,47 @@ def _solve_pair(problem: SdpProblem, config: SolverConfig) -> Solution:
     t0 = time.perf_counter()
     res = solve_conic(_conic_from_pair(problem), config.ipm_options())
     sense = problem.sense
-    if res.status == OPTIMAL:
-        y = res.w
-        slacks = [sym(z) for z in res.z_blocks]
-        if sense == "max":
-            objective = res.dual_objective + problem.obj_offset
-            psd = slacks
-            eq_mult = _plain_upper(res.x_blocks)
-        else:
-            objective = res.primal_objective + problem.obj_offset
-            psd = res.x_blocks
-            eq_mult = y.copy()
-        sol = Solution(
-            status=Status.Optimal,
-            objective=objective,
-            psd_blocks=psd,
-            free_vars=y,
-            eq_multipliers=eq_mult,
-            moment_matrices=list(res.x_blocks),
-            dual_slacks=slacks,
-        )
-        sol.kkt = kkt_residuals(problem, sol)
-        return _finish(sol, config, res, t0)
-    if (sense, res.status) in _MAPPING:
-        status, obj = _MAPPING[(sense, res.status)]
-        sol = Solution(status=status, objective=obj, certificate=res.certificate)
-        return _finish(sol, config, res, t0)
-    status = Status.MaxIterations if res.status == MAX_ITERATIONS else Status.NumericalFailure
-    best = res.dual_objective if sense == "max" else res.primal_objective
+    status = _STATUS[res.status]
+    if sense == "max":  # a max-sense pair is the program's dual side
+        status = _ACROSS_DUALITY.get(status, status)
+    if status in _ACROSS_DUALITY:
+        return _finish(_certified(status, sense, res), problem, config, res, t0)
     slacks = [sym(z) for z in res.z_blocks]
+    if sense == "max":
+        objective, psd, eq_mult = res.dual_objective, slacks, _plain_upper(res.x_blocks)
+    else:
+        objective, psd, eq_mult = res.primal_objective, res.x_blocks, res.w.copy()
     sol = Solution(
         status=status,
-        objective=best + problem.obj_offset,
-        psd_blocks=slacks if sense == "max" else res.x_blocks,
+        objective=objective + problem.obj_offset,
+        psd_blocks=psd,
         free_vars=res.w,
-        eq_multipliers=_plain_upper(res.x_blocks) if sense == "max" else res.w.copy(),
+        eq_multipliers=eq_mult,
         moment_matrices=list(res.x_blocks),
         dual_slacks=slacks,
     )
-    sol.kkt = kkt_residuals(problem, sol)
-    return _finish(sol, config, res, t0)
+    return _finish(sol, problem, config, res, t0)
 
 
 def _solve_restricted(bs: BlockSdp, config: SolverConfig) -> Solution:
     t0 = time.perf_counter()
-    red = getattr(bs, "_reduction", None)
-    if red is None:
-        red = _RestrictedReduction(bs)
-        bs._reduction = red
-    prog = _conic_from_restricted(bs, red)
-    res = solve_conic(prog, config.ipm_options())
-    if res.status == OPTIMAL:
-        blocks = [sym(x) for x in res.x_blocks]
-        lifts = lift_blocks(bs, blocks)
-        lift_vec = np.concatenate([svec(L) for L in lifts])
-        y = red.recover_y(lift_vec)
-        moments = red.moment_matrices(res.w)
-        sol = Solution(
-            status=Status.Optimal,
-            objective=red.const - res.primal_objective,
-            psd_blocks=blocks,
-            free_vars=y,
-            eq_multipliers=_plain_upper(moments),
-            moment_matrices=moments,
-        )
-        sol.kkt = kkt_residuals(bs, sol)
-        return _finish(sol, config, res, t0)
-    if res.status == PRIMAL_INFEASIBLE:
-        sol = Solution(status=Status.Infeasible, objective=-np.inf, certificate=res.certificate)
-        return _finish(sol, config, res, t0)
-    if res.status == DUAL_INFEASIBLE:
-        sol = Solution(status=Status.Unbounded, objective=np.inf, certificate=res.certificate)
-        return _finish(sol, config, res, t0)
-    status = Status.MaxIterations if res.status == MAX_ITERATIONS else Status.NumericalFailure
+    red = restricted_reduction(bs.base)
+    res = solve_conic(_conic_from_restricted(bs, red), config.ipm_options())
+    status = _STATUS[res.status]
+    if status in _ACROSS_DUALITY:
+        return _finish(_certified(status, bs.sense, res), bs, config, res, t0)
     blocks = [sym(x) for x in res.x_blocks]
-    moments = red.moment_matrices(res.w)
     lifts = lift_blocks(bs, blocks)
-    y = red.recover_y(np.concatenate([svec(L) for L in lifts]))
+    moments = red.moment_matrices(res.w)
     sol = Solution(
         status=status,
         objective=red.const - res.primal_objective,
         psd_blocks=blocks,
-        free_vars=y,
+        free_vars=red.recover_y(np.concatenate([svec(L) for L in lifts])),
         eq_multipliers=_plain_upper(moments),
         moment_matrices=moments,
     )
-    sol.kkt = kkt_residuals(bs, sol)
-    return _finish(sol, config, res, t0)
-
-
-def _solve_projected(bs: BlockSdp, config: SolverConfig) -> Solution:
-    t0 = time.perf_counter()
-    base = bs.base
-    prog = _conic_from_projected(bs)
-    res = solve_conic(prog, config.ipm_options())
-    m = base.num_constraints
-    if res.status == OPTIMAL:
-        x_mats = _x_from_free(res.u, base)
-        y = res.w[:m]
-        sol = Solution(
-            status=Status.Optimal,
-            objective=res.primal_objective + base.obj_offset,
-            psd_blocks=[sym(b) for b in res.x_blocks],
-            free_vars=y,
-            eq_multipliers=res.w.copy(),
-            moment_matrices=x_mats,
-        )
-        sol.kkt = kkt_residuals(bs, sol)
-        return _finish(sol, config, res, t0)
-    if (bs.sense, res.status) in _MAPPING:
-        status, obj = _MAPPING[(bs.sense, res.status)]
-        sol = Solution(status=status, objective=obj, certificate=res.certificate)
-        return _finish(sol, config, res, t0)
-    status = Status.MaxIterations if res.status == MAX_ITERATIONS else Status.NumericalFailure
-    sol = Solution(
-        status=status,
-        objective=res.primal_objective + base.obj_offset,
-        psd_blocks=[sym(b) for b in res.x_blocks],
-        free_vars=res.w[:m],
-        eq_multipliers=res.w.copy(),
-        moment_matrices=_x_from_free(res.u, base),
-    )
-    sol.kkt = kkt_residuals(bs, sol)
-    return _finish(sol, config, res, t0)
-
-
-def _x_from_free(u_vec: np.ndarray, base: SdpProblem) -> List[np.ndarray]:
-    out = []
-    start = 0
-    for n in base.block_dims:
-        k = svec_dim(n)
-        out.append(smat(u_vec[start:start + k], n))
-        start += k
-    return out
-
-
-def solve_consensus(problem: BlockSdp, config: SolverConfig | None = None) -> Solution:
-    from .consensus import solve_consensus as _impl
-
-    return _impl(problem, config or SolverConfig())
+    return _finish(sol, bs, config, res, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -525,30 +438,15 @@ def kkt_residuals(problem: Union[SdpProblem, BlockSdp], solution: Solution) -> K
         viol = _cone_violation(x_mats)
         return _pair_residuals(problem, y, s_mats, x_mats, viol)
 
-    bs = problem
-    base = bs.base
-    if bs.kind == "restricted_dual":
-        y = solution.free_vars
-        lifts = lift_blocks(bs, solution.psd_blocks)
-        x_mats = (
-            solution.moment_matrices
-            or _mats_from_plain_upper(solution.eq_multipliers, base.block_dims)
-        )
-        viol = _projected_violation(bs, x_mats)
-        return _pair_residuals(base, y, lifts, x_mats, viol)
-
-    # projected primal: X in moment_matrices, W blocks PSD, duals y + S_i.
-    x_mats = solution.moment_matrices
-    y = solution.free_vars
-    viol = _projected_violation(bs, x_mats)
-    dual_eq = np.linalg.norm(base.constraint_values(x_mats) - base.rhs) / (
-        1.0 + np.linalg.norm(base.rhs)
+    # A BlockSdp of either kind carries its restricted dual's solution.
+    base = problem.base
+    lifts = lift_blocks(problem, solution.psd_blocks)
+    x_mats = (
+        solution.moment_matrices
+        or _mats_from_plain_upper(solution.eq_multipliers, base.block_dims)
     )
-    c_norm = np.sqrt(sum(float(np.sum(c * c)) for c in base.cost_blocks))
-    by = float(base.rhs @ y)
-    cx = base.primal_cost(x_mats)
-    gap = abs(by - cx) / (1.0 + abs(by) + abs(cx))
-    return KktResiduals(primal=max(dual_eq, viol), dual=dual_eq, gap=gap)
+    viol = _projected_violation(problem, x_mats)
+    return _pair_residuals(base, solution.free_vars, lifts, x_mats, viol)
 
 
 def _cone_violation(mats: Sequence[np.ndarray]) -> float:

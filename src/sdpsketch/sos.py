@@ -16,7 +16,7 @@ cone, and the multipliers of the matrix equation form the moment matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,9 +41,6 @@ class GramMap:
 
     basis: Basis
     rows: Dict[Monomial, List[Tuple[int, int, int]]]
-
-    def matched_monomials(self) -> List[Monomial]:
-        return sorted(self.rows, key=grlex_key)
 
 
 def gram_map(basis: Basis) -> GramMap:
@@ -80,6 +77,10 @@ class SdpProblem:
     sense: str = "min"
     obj_offset: float = 0.0
     moment_meta: Optional[MomentMeta] = None
+    # The restricted dual's elimination data (solver.restricted_reduction),
+    # built on the first restriction and shared by all of them; neither
+    # serialized nor compared.  Problems are not changed after construction.
+    reduction: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -96,6 +97,10 @@ class SdpProblem:
             checked.append((mats, float(rhs)))
         self.constraints = checked
 
+    def __getstate__(self):
+        # Pickles and copies leave the reduction behind; it is rebuilt on use.
+        return {**self.__dict__, "reduction": None}
+
     # -- structure -----------------------------------------------------
     @property
     def num_blocks(self) -> int:
@@ -104,11 +109,6 @@ class SdpProblem:
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
-
-    @property
-    def num_free(self) -> int:
-        """Length of the dual vector y (the free scalars of the dual reading)."""
-        return self.num_constraints
 
     @property
     def n(self) -> int:
@@ -412,6 +412,25 @@ def _validate_target(p: Polynomial, basis: Basis):
         )
 
 
+def _certificate_blocks(
+    basis: Basis, ball_radius: Optional[float], multiplier_basis: Optional[Basis]
+) -> List[GramBlockSpec]:
+    """The Gram block over basis; with ball_radius set, also the localizer
+    block s1 * (radius^2 - |x|^2) over multiplier_basis (default: one degree
+    lower)."""
+    blocks = [plain_gram_block(basis)]
+    if ball_radius is not None:
+        if multiplier_basis is None:
+            multiplier_basis = monomial_basis(basis.num_vars, basis.max_degree - 1)
+        if multiplier_basis.max_degree + 1 > basis.max_degree:
+            raise DegreeOverflowError(
+                "multiplier degree too large: deg(s1 * ball) exceeds 2 * basis degree"
+            )
+        g = _ball_polynomial(basis.num_vars, ball_radius)
+        blocks.append(plain_gram_block(multiplier_basis, multiplier=g))
+    return blocks
+
+
 def compile_sos(
     p: Polynomial,
     basis: Basis,
@@ -424,17 +443,7 @@ def compile_sos(
     Gram blocks (one-level localization on the ball).
     """
     _validate_target(p, basis)
-    blocks = [plain_gram_block(basis)]
-    if ball_radius is not None:
-        if multiplier_basis is None:
-            multiplier_basis = monomial_basis(basis.num_vars, basis.max_degree - 1)
-        if multiplier_basis.max_degree + 1 > basis.max_degree:
-            raise DegreeOverflowError(
-                "multiplier degree too large: deg(s1 * ball) exceeds 2 * basis degree"
-            )
-        g = _ball_polynomial(basis.num_vars, ball_radius)
-        blocks.append(plain_gram_block(multiplier_basis, multiplier=g))
-    return matching_program(blocks, p)
+    return matching_program(_certificate_blocks(basis, ball_radius, multiplier_basis), p)
 
 
 def compile_sos_on_ball(
@@ -456,15 +465,6 @@ def compile_pop(
     to the ball and lambda bounds min over it.
     """
     _validate_target(p, basis)
-    blocks = [plain_gram_block(basis)]
-    if ball_radius is not None:
-        if multiplier_basis is None:
-            multiplier_basis = monomial_basis(basis.num_vars, basis.max_degree - 1)
-        if multiplier_basis.max_degree + 1 > basis.max_degree:
-            raise DegreeOverflowError(
-                "multiplier degree too large: deg(s1 * ball) exceeds 2 * basis degree"
-            )
-        g = _ball_polynomial(basis.num_vars, ball_radius)
-        blocks.append(plain_gram_block(multiplier_basis, multiplier=g))
+    blocks = _certificate_blocks(basis, ball_radius, multiplier_basis)
     one = Polynomial.constant(p.num_vars, 1.0)
     return matching_program(blocks, p, lower_bound_poly=one)

@@ -2,7 +2,7 @@ import pytest
 
 from sdpsketch.control import compile_poc
 from sdpsketch.instances import default_poc_problem, random_feasible_sdp
-from sdpsketch.sketch import ensembles_for_problem, restrict_dual, sample_ensemble
+from sdpsketch.sketch import ensembles_for_problem, project_primal, restrict_dual, sample_ensemble
 from sdpsketch.solver import SolverConfig, Status, kkt_residuals, solve, solve_consensus
 
 
@@ -33,6 +33,14 @@ class TestAgreement:
             assert abs(cs.objective - ip.objective) <= tol, (
                 f"instance {k}: {cs.objective} vs {ip.objective}"
             )
+
+    def test_projected_primal_is_solved_in_both_modes(self, rng):
+        bs = feasible_projected_instances(1, rng)[0]
+        projected = project_primal(bs.base, bs.ensembles)
+        ip = solve(projected)
+        cs = solve(projected, SolverConfig(mode="consensus"))
+        assert ip.status == cs.status == Status.Optimal
+        assert abs(cs.objective - ip.objective) <= 1e-4 * (1.0 + abs(ip.objective))
 
     def test_worker_count_does_not_change_result(self, rng):
         # The parallel work is cut the same way at every worker count, so

@@ -11,6 +11,7 @@ from sdpsketch.instances import default_poc_problem
 from sdpsketch.polynomial import Polynomial, evaluate, parse_polynomial
 from sdpsketch.sketch import ensembles_for_problem, restrict_dual
 from sdpsketch.solver import Status, solve
+from sdpsketch.sos import SdpProblem
 
 
 def one_d_instance() -> ControlProblem:
@@ -61,6 +62,24 @@ class TestCompile:
         assert abs(v.coefficient((2,)) - 1.0) <= 1e-5
         assert abs(v.coefficient((1,))) <= 1e-5
         assert abs(sol.objective - (evaluate(v, cp.x0) - evaluate(v, cp.xT))) <= 1e-6
+
+    def test_value_function_recovery_after_json_round_trip(self):
+        cp = one_d_instance()
+        prob = compile_poc(cp)
+        direct = extract_value_function(prob, solve(prob), cp)
+        loaded = SdpProblem.from_json(prob.to_json())
+        v = extract_value_function(loaded, solve(loaded), cp)
+        assert v.num_vars == direct.num_vars
+        for mono in set(v.terms) | set(direct.terms):
+            assert abs(v.coefficient(mono) - direct.coefficient(mono)) <= 1e-9
+
+    def test_value_function_rejects_mismatched_blocks(self):
+        cp = one_d_instance()
+        prob = compile_poc(cp)
+        sol = solve(prob)
+        cp.value_degree += 1
+        with pytest.raises(ValueError):
+            extract_value_function(prob, sol, cp)
 
     def test_full_rank_restriction_matches(self):
         prob = compile_poc(one_d_instance())

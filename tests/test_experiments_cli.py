@@ -154,6 +154,13 @@ class TestCliSolve:
         msg = str(err.value)
         assert "line" in msg and "column" in msg
 
+    def test_consensus_mode_rejects_sdp_problem(self, tmp_path, rng):
+        path = self.write(tmp_path, random_feasible_sdp(rng, 4, 2))
+        with pytest.raises(SystemExit) as err:
+            cli_main(["solve", str(path), "--mode", "consensus"])
+        msg = str(err.value)
+        assert msg.startswith("error:") and "consensus" in msg and "\n" not in msg
+
     def test_trace_flag_writes_csv(self, tmp_path, rng):
         path = self.write(tmp_path, random_feasible_sdp(rng, 4, 2))
         trace = tmp_path / "trace.csv"

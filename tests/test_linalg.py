@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from sdpsketch._linalg import (
     aggregate_congruence_operator,
-    congruence_svec_matrix,
     max_step_psd,
     nullspace,
     projection_hessian,
@@ -79,15 +78,3 @@ def test_projection_hessian_matches_aggregate_congruence():
     u = rng.standard_normal((6, 5, 2))
     p = u @ u.transpose(0, 2, 1)
     assert np.allclose(projection_hessian(u), aggregate_congruence_operator(p, p), atol=1e-12)
-
-
-def test_congruence_svec_matrix_matches_direct():
-    rng = np.random.default_rng(23)
-    u = rng.standard_normal((5, 3))
-    phi = congruence_svec_matrix(u)
-    for _ in range(10):
-        s = random_sym(rng, 3)
-        assert np.allclose(phi @ svec(s), svec(u @ s @ u.T), atol=1e-12)
-        # adjoint: smat side
-        y = random_sym(rng, 5)
-        assert np.allclose(phi.T @ svec(y), svec(u.T @ y @ u), atol=1e-12)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,3 +272,15 @@ class TestBlockSdpSerialization:
             for ua, ub in zip(ea.matrices, eb.matrices):
                 assert np.array_equal(ua, ub)
         assert abs(solve(back).objective - solve(bs).objective) <= 1e-8
+
+    def test_restrictions_share_one_reduction_and_still_pickle(self):
+        prob = pop_problem()
+        solve(restrict_dual(prob, sample_ensemble(2, 1, 3, seed=6)))
+        reduction = prob.reduction
+        bs = restrict_dual(prob, sample_ensemble(2, 2, 3, seed=7))
+        second = solve(bs)
+        assert reduction is not None and prob.reduction is reduction
+        back = pickle.loads(pickle.dumps(bs))
+        assert back.base.reduction is None
+        again = solve(back)
+        assert (again.status, again.objective) == (second.status, second.objective)
