@@ -49,7 +49,8 @@ def smat(vec: np.ndarray, n: int) -> np.ndarray:
 
 
 def sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
 def psd_project(mat: np.ndarray) -> np.ndarray:
@@ -62,11 +63,12 @@ def psd_project(mat: np.ndarray) -> np.ndarray:
 def max_step_psd(mat: np.ndarray, direction: np.ndarray) -> float:
     """Largest t with mat + t*direction PSD, for mat positive definite.
 
-    Returns inf when the direction never leaves the cone.
+    On stacks, the smallest such t over the matrices.  Returns inf when no
+    direction ever leaves the cone.
     """
     L = np.linalg.cholesky(mat)
-    W = np.linalg.solve(L, np.linalg.solve(L, direction).T)
-    lam = np.linalg.eigvalsh(sym(W))[0]
+    W = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, direction), -1, -2))
+    lam = np.linalg.eigvalsh(sym(W))[..., 0].min()
     if lam >= 0.0:
         return np.inf
     return -1.0 / lam

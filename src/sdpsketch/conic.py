@@ -4,12 +4,14 @@ solvers:
     min  sum_b <D_b, S_b>
     s.t. rows(S) = g,   S_b PSD
 
-Row systems come in two layouts: explicit stacked constraint matrices
-(DenseRows, the canonical pair), and the restricted layout where every conic
-block enters each row through a congruence U_i' (.) U_i against a shared
-family of base-space rows (ProjectedRows).  The restricted layout assembles
-its Schur complement through one aggregated kernel per base block instead of
-per-block tensors.
+Blocks travel in groups of equal size: each group is one (N, r, r) array
+and the row system lists its groups as (N, r) pairs.  Row systems come in
+two layouts: explicit stacked constraint matrices (DenseRows, the canonical
+pair, one group of size 1 per block), and the restricted layout where every
+conic block enters each row through a congruence U_i' (.) U_i against a
+shared family of base-space rows (ProjectedRows, one group of N samples
+per base block).  The restricted layout assembles its Schur complement
+through one aggregated kernel per group instead of per-block tensors.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from ._linalg import aggregate_congruence_operator, smat, svec, sym
 
 
 class RowOps:
-    """Linear row system over PSD blocks."""
+    """Linear row system over groups of PSD blocks, each an (N, r, r) array."""
 
     num_rows: int
-    block_dims: Tuple[int, ...]
+    groups: Tuple[Tuple[int, int], ...]
 
     def apply(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
@@ -43,11 +45,11 @@ class RowOps:
 
 
 class DenseRows(RowOps):
-    """Rows stored as stacked (num_rows, r_b, r_b) tensors."""
+    """Rows stored as stacked (num_rows, r_b, r_b) tensors; every block is a group of one."""
 
     def __init__(self, tensors: List[np.ndarray], num_rows: int):
         self.tensors = [np.ascontiguousarray(t, dtype=float) for t in tensors]
-        self.block_dims = tuple(t.shape[-1] for t in self.tensors)
+        self.groups = tuple((1, t.shape[-1]) for t in self.tensors)
         self.num_rows = num_rows
         self.flat = [t.reshape(num_rows, t.shape[-1] ** 2) for t in self.tensors]
 
@@ -58,14 +60,14 @@ class DenseRows(RowOps):
         return out
 
     def adjoint_blocks(self, w):
-        return [(w @ f).reshape(r, r) for f, r in zip(self.flat, self.block_dims)]
+        return [(w @ f).reshape(1, r, r) for f, (_, r) in zip(self.flat, self.groups)]
 
     def schur(self, x_blocks, zinv_blocks):
         m = self.num_rows
         out = np.zeros((m, m))
         for t, f, x, zi in zip(self.tensors, self.flat, x_blocks, zinv_blocks):
             r = t.shape[-1]
-            y = zi @ t @ x  # (m, r, r); <A_j, Zinv A_k X> = Tr(A_j X A_k Zinv)
+            y = zi[0] @ t @ x[0]  # (m, r, r); <A_j, Zinv A_k X> = Tr(A_j X A_k Zinv)
             out += f @ y.reshape(m, r * r).T
         return sym(out)
 
@@ -75,7 +77,8 @@ class ProjectedRows(RowOps):
 
     For each base block b with row matrices R (given as svec rows, shape
     (num_rows, svec_dim(n_b))), the conic blocks (b, i) enter row j with
-    coefficient matrix U_{b,i}' smat(R_j) U_{b,i}.
+    coefficient matrix U_{b,i}' smat(R_j) U_{b,i}.  Base block b's samples
+    form one group, stacked like its (N, n_b, r) stack of U_{b,i}.
     """
 
     def __init__(self, base_dims: Sequence[int], u_stacks: List[np.ndarray],
@@ -85,28 +88,12 @@ class ProjectedRows(RowOps):
         self.row_segments = [np.ascontiguousarray(r, dtype=float) for r in row_segments]
         self.num_rows = row_segments[0].shape[0]
         assert all(r.shape[0] == self.num_rows for r in row_segments)
-        dims = []
-        for u in self.u_stacks:
-            dims.extend([u.shape[2]] * u.shape[0])
-        self.block_dims = tuple(dims)
-        self._slices = []
-        start = 0
-        for u in self.u_stacks:
-            self._slices.append(slice(start, start + u.shape[0]))
-            start += u.shape[0]
-
-    def lift(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """sum_i U_i S_i U_i' per base block."""
-        out = []
-        for u, sl in zip(self.u_stacks, self._slices):
-            s = np.stack(blocks[sl]) if u.shape[0] else np.zeros((0,) + u.shape[1:])
-            tmp = u @ s
-            out.append(np.einsum("inr,imr->nm", tmp, u, optimize=True))
-        return out
+        self.groups = tuple((u.shape[0], u.shape[2]) for u in self.u_stacks)
 
     def apply(self, blocks):
         out = np.zeros(self.num_rows)
-        for lifted, rows in zip(self.lift(blocks), self.row_segments):
+        for u, s, rows in zip(self.u_stacks, blocks, self.row_segments):
+            lifted = np.einsum("inr,imr->nm", u @ s, u, optimize=True)  # sum_i U_i S_i U_i'
             out += rows @ svec(sym(lifted))
         return out
 
@@ -115,18 +102,13 @@ class ProjectedRows(RowOps):
         for u, rows, n in zip(self.u_stacks, self.row_segments, self.base_dims):
             y = smat(rows.T @ w, n)
             tmp = y @ u  # (N, n, r)
-            out = np.einsum("inr,ins->irs", u, tmp, optimize=True)
-            mats.extend(sym(out[i]) for i in range(u.shape[0]))
+            mats.append(sym(np.einsum("inr,ins->irs", u, tmp, optimize=True)))
         return mats
 
     def schur(self, x_blocks, zinv_blocks):
         m = self.num_rows
         out = np.zeros((m, m))
-        for u, rows, sl in zip(self.u_stacks, self.row_segments, self._slices):
-            if u.shape[0] == 0:
-                continue
-            xs = np.stack(x_blocks[sl])
-            zs = np.stack(zinv_blocks[sl])
+        for u, rows, xs, zs in zip(self.u_stacks, self.row_segments, x_blocks, zinv_blocks):
             p_stack = np.einsum("inr,irs,ims->inm", u, xs, u, optimize=True)
             q_stack = np.einsum("inr,irs,ims->inm", u, zs, u, optimize=True)
             kernel = aggregate_congruence_operator(p_stack, q_stack)
@@ -136,7 +118,7 @@ class ProjectedRows(RowOps):
 
 @dataclass
 class ConicProgram:
-    """min <D, S>  s.t.  ops(S) = g,  S PSD blocks.
+    """min <D, S>  s.t.  ops(S) = g,  S PSD blocks; D holds one (N, r, r) array per group.
 
     gap_offset/gap_flip describe how the caller's objective relates to the
     internal one (user = gap_offset - internal when flipped, + otherwise) so

@@ -40,8 +40,8 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 from ._blas import limit_blas_threads
 from ._linalg import projection_hessian_band, projection_products, smat, svec, sym
 from ._team import Arena, Team
-from .sketch import BlockSdp, lift_blocks
-from .solver import Solution, Status, _plain_upper, kkt_residuals, restricted_reduction
+from .sketch import BlockSdp
+from .solver import Solution, Status, _finish, _restricted_solution, restricted_reduction
 
 # Fixed partitions of the parallel work.  None depends on the worker count,
 # so neither does any rounding error.
@@ -373,24 +373,9 @@ def _solve(problem: BlockSdp, config, red, ws: _Workspace, t_start: float) -> So
                 break
 
     ws.team.stop()  # the helpers exit while the caller finishes up
-    s_blocks = [-sym(lam) for grp in ws.groups for lam in grp.lam]
-    lifts = lift_blocks(problem, s_blocks)
-    # Recover y by projecting C - lift onto the constraint family; the
-    # primal-side objective estimate converges fastest.
-    y = red.recover_y(np.concatenate([svec(L) for L in lifts]))
-    moments = x_mats
-    objective = base.primal_cost(moments) + base.obj_offset
-    sol_obj = Solution(
-        status=status,
-        objective=objective,
-        psd_blocks=s_blocks,
-        free_vars=y,
-        eq_multipliers=_plain_upper(moments),
-        moment_matrices=moments,
-        iterations=it,
-        solve_seconds=time.perf_counter() - t_start,
-        trace=[{"iteration": k + 1, "residual": v} for k, v in enumerate(history)]
-        if (config.keep_trace or config.trace_path) else [],
-    )
-    sol_obj.kkt = kkt_residuals(problem, sol_obj)
-    return sol_obj
+    # The primal-side objective estimate converges fastest.
+    sol = _restricted_solution(problem, red, status,
+                               base.primal_cost(x_mats) + base.obj_offset,
+                               [-sym(grp.lam) for grp in ws.groups], x_mats)
+    trace = [{"iteration": k + 1, "residual": v} for k, v in enumerate(history)]
+    return _finish(sol, problem, config, it, trace, t_start)

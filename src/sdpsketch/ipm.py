@@ -6,6 +6,10 @@ embedding supplies certificates when the solved problem
 (min <D,S>  s.t. rows = g, S PSD) is infeasible or unbounded; the
 tau/kappa indicator gates which branch is reported.
 
+X, Z, the directions and the returned blocks are lists with one (N, r, r)
+array per block group of the row system (see conic), so every per-block
+step (inverse, Cholesky check, step length) is one batched call per group.
+
 Embedding variables (X, w, Z, tau, kappa) satisfy at a solution:
     rows(X) - g tau           = 0
     adj(w) + Z - D tau        = 0
@@ -31,27 +35,20 @@ DUAL_INFEASIBLE = "dual_infeasible"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
 
-
-@dataclass
-class IpmOptions:
-    tolerance: float = 1e-8
-    max_iterations: int = 200
-    step_fraction: float = 0.98
-    infeasibility_tol: float = 1e-9
-    tau_kappa_ratio: float = 1e-2
-    regularization: float = 1e-10
-    trace: bool = False
+STEP_FRACTION = 0.98  # of the distance to the cone boundary
+INFEASIBILITY_TOL = 1e-9  # relative residual of an infeasibility certificate
+TAU_KAPPA_RATIO = 1e-2  # tau below this times kappa lets a certificate be declared
+REGULARIZATION = 1e-10  # first diagonal shift tried when the Schur LU is singular
 
 
 @dataclass
 class ConicResult:
     status: str
-    x_blocks: List[np.ndarray]
+    x_blocks: List[np.ndarray]  # one (N, r, r) array per group
     w: np.ndarray
     z_blocks: List[np.ndarray]
     primal_objective: float
     dual_objective: float
-    residuals: dict
     iterations: int
     certificate: Optional[dict] = None
     trace: list = field(default_factory=list)
@@ -66,11 +63,7 @@ def _chol_ok(mat) -> bool:
 
 
 def _max_alpha(X, Z, dX, dZ, tau, kappa, dtau, dkappa, fraction) -> float:
-    alpha = np.inf
-    for x, dx in zip(X, dX):
-        alpha = min(alpha, max_step_psd(x, dx))
-    for z, dz in zip(Z, dZ):
-        alpha = min(alpha, max_step_psd(z, dz))
+    alpha = min((max_step_psd(v, dv) for v, dv in zip(X + Z, dX + dZ)), default=np.inf)
     if dtau < 0:
         alpha = min(alpha, tau / (-dtau))
     if dkappa < 0:
@@ -78,10 +71,10 @@ def _max_alpha(X, Z, dX, dZ, tau, kappa, dtau, dkappa, fraction) -> float:
     return min(1.0, fraction * alpha)
 
 
-def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResult:
-    opts = opts or IpmOptions()
+def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int = 200,
+                trace: bool = False) -> ConicResult:
     ops = prog.ops
-    dims = list(ops.block_dims)
+    eyes = [np.broadcast_to(np.eye(r), (n, r, r)) for n, r in ops.groups]
     m = ops.num_rows
 
     # Joint data scaling keeps the identity start sensible.
@@ -93,14 +86,14 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
     g_norm = float(np.linalg.norm(g))
     c_scaled = np.sqrt(sum(float(np.sum(d * d)) for d in D))
 
-    X = [np.eye(d) for d in dims]
-    Z = [np.eye(d) for d in dims]
+    X = [e.copy() for e in eyes]
+    Z = [e.copy() for e in eyes]
     w = np.zeros(m)
     tau, kappa = 1.0, 1.0
-    nu = sum(dims) + 1.0
+    nu = sum(n * r for n, r in ops.groups) + 1.0
 
     def cost_of(xb) -> float:
-        return sum(float(np.tensordot(db, x)) for db, x in zip(D, xb))
+        return sum(float(np.vdot(db, x)) for db, x in zip(D, xb))
 
     def scaled_residuals():
         # Residuals in raw data units so termination matches external replay.
@@ -128,10 +121,10 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
     best_state = None
     last_alpha = 0.0
 
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         pres, dres, gap, pobj, dobj = scaled_residuals()
-        mu = (sum(float(np.tensordot(x, z)) for x, z in zip(X, Z)) + tau * kappa) / nu
-        if opts.trace:
+        mu = (sum(float(np.vdot(x, z)) for x, z in zip(X, Z)) + tau * kappa) / nu
+        if trace:
             trace_rows.append(dict(iteration=it, mu=mu, primal=pres, dual=dres,
                                    gap=gap, step=last_alpha, tau=tau, kappa=kappa))
         score = max(pres, dres, gap)
@@ -139,19 +132,19 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
             best_score = score
             best_state = ([x.copy() for x in X], w.copy(),
                           [z.copy() for z in Z], tau, kappa)
-        if pres <= opts.tolerance and dres <= opts.tolerance and gap <= opts.tolerance:
+        if pres <= tolerance and dres <= tolerance and gap <= tolerance:
             status = OPTIMAL
             break
 
         # Infeasibility certificates; tau/kappa gates the declaration.
-        tk_gate = tau <= opts.tau_kappa_ratio * max(kappa, 1e-30)
+        tk_gate = tau <= TAU_KAPPA_RATIO * max(kappa, 1e-30)
         by = float(g @ w)
         if by > 0.0 and tk_gate:
             wn = w / by
             zn = [z / by for z in Z]
             adjb = ops.adjoint_blocks(wn)
             cert_res = np.sqrt(sum(float(np.sum((ab + zb) ** 2)) for ab, zb in zip(adjb, zn)))
-            if cert_res <= opts.infeasibility_tol * (1.0 + np.linalg.norm(wn)):
+            if cert_res <= INFEASIBILITY_TOL * (1.0 + np.linalg.norm(wn)):
                 status = PRIMAL_INFEASIBLE
                 certificate = {"w": wn, "z_blocks": zn}
                 break
@@ -160,7 +153,7 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
             xn = [x / (-cx) for x in X]
             cert_res = float(np.linalg.norm(ops.apply(xn)))
             xn_norm = np.sqrt(sum(float(np.sum(x * x)) for x in xn))
-            if cert_res <= opts.infeasibility_tol * (1.0 + xn_norm):
+            if cert_res <= INFEASIBILITY_TOL * (1.0 + xn_norm):
                 status = DUAL_INFEASIBLE
                 certificate = {"x_blocks": xn}
                 break
@@ -168,7 +161,11 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
         if not all(_chol_ok(z) for z in Z) or not all(_chol_ok(x) for x in X):
             status = NUMERICAL_FAILURE
             break
-        zinvs = [sym(np.linalg.solve(z, np.eye(z.shape[0]))) for z in Z]
+        try:
+            zinvs = [sym(np.linalg.solve(z, e)) for z, e in zip(Z, eyes)]
+        except np.linalg.LinAlgError:  # Z passed Cholesky yet is singular in rounding
+            status = NUMERICAL_FAILURE
+            break
 
         M = ops.schur(X, zinvs)
 
@@ -179,7 +176,7 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
 
         xdz = [x @ db @ zi for x, db, zi in zip(X, D, zinvs)]
         p_vec = ops.row_inner(xdz)
-        p_d = sum(float(np.tensordot(db, sym(t))) for db, t in zip(D, xdz))
+        p_d = sum(float(np.vdot(db, sym(t))) for db, t in zip(D, xdz))
 
         dim = m + 1
         border = np.zeros((dim, dim))
@@ -203,7 +200,7 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
                         break
                 except Exception:
                     pass
-                reg = opts.regularization if reg == 0.0 else reg * 10.0
+                reg = REGULARIZATION if reg == 0.0 else reg * 10.0
                 if reg > 1e-2:
                     break
         if lu is None:
@@ -216,7 +213,7 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
                 for rb, zi, x, r2 in zip(rho_blocks, zinvs, X, r2b)
             ]
             q_vec = ops.row_inner(corr)
-            q_d = sum(float(np.tensordot(db, sym(c))) for db, c in zip(D, corr))
+            q_d = sum(float(np.vdot(db, sym(c))) for db, c in zip(D, corr))
             rhs = np.zeros(dim)
             rhs[:m] = -r1 - q_vec
             rhs[dim - 1] = -r3 + q_d + (rho_tk - tau * kappa) / tau
@@ -239,24 +236,23 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
             dkappa = (rho_tk - tau * kappa - kappa * dtau) / tau
             return dX, dw, dZ, dtau, dkappa
 
-        zero_rho = [np.zeros((d, d)) for d in dims]
+        zero_rho = [np.zeros(e.shape) for e in eyes]
         dXa, dwa, dZa, dtaua, dkappaa = newton_pass(zero_rho, 0.0)
         alpha_a = _max_alpha(X, Z, dXa, dZa, tau, kappa, dtaua, dkappaa, 1.0)
         mu_aff = (
             sum(
-                float(np.tensordot(x + alpha_a * dx, z + alpha_a * dz))
+                float(np.vdot(x + alpha_a * dx, z + alpha_a * dz))
                 for x, dx, z, dz in zip(X, dXa, Z, dZa)
             )
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
         ) / nu
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8))
 
-        rho_blocks = [sigma * mu * np.eye(d) - dxa @ dza
-                      for d, dxa, dza in zip(dims, dXa, dZa)]
+        rho_blocks = [sigma * mu * e - dxa @ dza for e, dxa, dza in zip(eyes, dXa, dZa)]
         rho_tk = sigma * mu - dtaua * dkappaa
         dX, dw, dZ, dtau, dkappa = newton_pass(rho_blocks, rho_tk)
 
-        alpha = _max_alpha(X, Z, dX, dZ, tau, kappa, dtau, dkappa, opts.step_fraction)
+        alpha = _max_alpha(X, Z, dX, dZ, tau, kappa, dtau, dkappa, STEP_FRACTION)
         for _ in range(40):
             if alpha <= 0:
                 break
@@ -295,7 +291,7 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
         if status == NUMERICAL_FAILURE and best_score < 1e-4:
             # The factorization gave out only after the residuals stalled.
             status = MAX_ITERATIONS
-    pres, dres, gap, pobj, dobj = scaled_residuals()
+    pobj, dobj = scaled_residuals()[3:]
     return ConicResult(
         status=status,
         x_blocks=[x * (s_g / tau) for x in X],
@@ -303,7 +299,6 @@ def solve_conic(prog: ConicProgram, opts: IpmOptions | None = None) -> ConicResu
         z_blocks=[z * (s_c / tau) for z in Z],
         primal_objective=pobj,
         dual_objective=dobj,
-        residuals={"primal": pres, "dual": dres, "gap": gap},
         iterations=it,
         certificate=certificate,
         trace=trace_rows,

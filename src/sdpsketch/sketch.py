@@ -229,19 +229,18 @@ def project_primal(base: SdpProblem, ensembles) -> BlockSdp:
 
 
 def lift_dual_certificate(blocks: Sequence[np.ndarray], ens: SubspaceEnsemble) -> np.ndarray:
-    """sum_i U_i S_i U_i'; PSD whenever every S_i is."""
-    if len(blocks) != ens.N:
-        raise ValueError(f"got {len(blocks)} blocks for an ensemble of N={ens.N}")
-    out = np.zeros((ens.n, ens.n))
-    for u, s in zip(ens.matrices, blocks):
-        if s.shape != (ens.r, ens.r):
-            raise ValueError(f"block of shape {s.shape}, expected {(ens.r, ens.r)}")
-        out += u @ sym(s) @ u.T
-    return sym(out)
+    """sum_i U_i S_i U_i' of the N blocks S_i (a list or an (N, r, r) stack);
+    PSD whenever every S_i is."""
+    stack = np.asarray(blocks, dtype=float)
+    if stack.shape != (ens.N, ens.r, ens.r):
+        raise ValueError(f"got blocks of shape {stack.shape} for an ensemble of "
+                         f"N={ens.N} blocks of shape {(ens.r, ens.r)}")
+    u = ens.stack()
+    return sym(np.einsum("inr,irs,ims->nm", u, sym(stack), u, optimize=True))
 
 
 def lift_blocks(bs: BlockSdp, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Per-base-block lifts for a solution's stacked block list."""
+    """Per-base-block lifts of a solution's per-sample block list."""
     out = []
     start = 0
     for ens in bs.ensembles:

@@ -17,6 +17,11 @@ solved as that restricted dual, in either mode, with Infeasible and
 Unbounded swapped: its X is in moment_matrices, y in free_vars, and
 psd_blocks and certificate hold the restricted dual's S_i and certificate.
 Every BlockSdp is thus solved, and its KKT residuals replayed, in one layout.
+
+Inside, the interior-point solver holds each block group as one (N, r, r)
+array (see conic): one group of N samples per ensemble of a BlockSdp, one
+group of size 1 per block of the pair.  The Solution is unstacked once, so
+its block lists hold one matrix per sample or block.
 """
 
 from __future__ import annotations
@@ -42,10 +47,9 @@ from .ipm import (
     OPTIMAL,
     PRIMAL_INFEASIBLE,
     ConicResult,
-    IpmOptions,
     solve_conic,
 )
-from .sketch import BlockSdp, lift_blocks, restrict_dual
+from .sketch import BlockSdp, lift_blocks, lift_dual_certificate, restrict_dual
 from .sos import SdpProblem
 
 
@@ -61,8 +65,6 @@ class Status(Enum):
 class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 200
-    step_fraction: float = 0.98
-    infeasibility_tol: float = 1e-9
     mode: str = "interior_point"  # or "consensus"
     trace_path: Optional[str] = None
     keep_trace: bool = False
@@ -71,15 +73,6 @@ class SolverConfig:
     workers: int = 1  # CPUs the consensus solve uses; the result does not depend on it
     admm_max_iterations: int = 20000
     admm_tolerance: float = 1e-7
-
-    def ipm_options(self) -> IpmOptions:
-        return IpmOptions(
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            step_fraction=self.step_fraction,
-            infeasibility_tol=self.infeasibility_tol,
-            trace=self.keep_trace or self.trace_path is not None,
-        )
 
 
 @dataclass
@@ -138,6 +131,11 @@ class Solution:
         return json.dumps(self.to_json_dict())
 
 
+def _unstack(groups: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The matrices of a list of (N, r, r) groups, in order."""
+    return [mat for group in groups for mat in group]
+
+
 def _plain_upper(mats: Sequence[np.ndarray]) -> np.ndarray:
     parts = []
     for m in mats:
@@ -172,7 +170,7 @@ def _conic_from_pair(problem: SdpProblem) -> ConicProgram:
     return ConicProgram(
         ops=DenseRows(tensors, m),
         rhs=problem.rhs,
-        block_costs=list(problem.cost_blocks),
+        block_costs=[c[None] for c in problem.cost_blocks],
         gap_offset=problem.obj_offset,
     )
 
@@ -271,12 +269,10 @@ def _conic_from_restricted(bs: BlockSdp, red: _RestrictedReduction) -> ConicProg
         u_stacks=[ens.stack() for ens in bs.ensembles],
         row_segments=red.row_segments,
     )
-    costs = []
-    for b, ens in enumerate(bs.ensembles):
-        w_b = smat(red.segment(red.w_obj, b), bs.base.block_dims[b])
-        u = ens.stack()
-        d_stack = np.einsum("inr,nm,ims->irs", u, w_b, u, optimize=True)
-        costs.extend(sym(d_stack[i]) for i in range(ens.N))
+    costs = [
+        sym(np.einsum("inr,nm,ims->irs", u, smat(red.segment(red.w_obj, b), n), u, optimize=True))
+        for b, (u, n) in enumerate(zip(ops.u_stacks, bs.base.block_dims))
+    ]
     return ConicProgram(ops=ops, rhs=red.rhs, block_costs=costs,
                         gap_offset=red.const, gap_flip=True)
 
@@ -300,21 +296,23 @@ _ACROSS_DUALITY = {Status.Infeasible: Status.Unbounded, Status.Unbounded: Status
 def _certified(status: Status, sense: str, res: ConicResult) -> Solution:
     """Infeasible or Unbounded: an infinite objective and the certificate."""
     worst = np.inf if (status == Status.Infeasible) == (sense == "min") else -np.inf
-    return Solution(status=status, objective=worst, certificate=res.certificate)
+    cert = {k: v if k == "w" else _unstack(v) for k, v in res.certificate.items()}
+    return Solution(status=status, objective=worst, certificate=cert)
 
 
-def _finish(sol: Solution, problem, config: SolverConfig, res: ConicResult,
+def _finish(sol: Solution, problem, config: SolverConfig, iterations: int, trace: list,
             t0: float) -> Solution:
+    """KKT replay, iteration count, timing and trace of every solve."""
     if sol.status not in _ACROSS_DUALITY:
         sol.kkt = kkt_residuals(problem, sol)
-    sol.iterations = res.iterations
+    sol.iterations = iterations
     sol.solve_seconds = time.perf_counter() - t0
-    sol.trace = res.trace if config.keep_trace or config.trace_path else []
-    if config.trace_path and res.trace:
+    sol.trace = trace if config.keep_trace or config.trace_path else []
+    if config.trace_path and trace:
         with open(config.trace_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(res.trace[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=list(trace[0].keys()))
             writer.writeheader()
-            writer.writerows(res.trace)
+            writer.writerows(trace)
     return sol
 
 
@@ -352,51 +350,66 @@ def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> So
     raise TypeError(f"cannot solve object of type {type(problem)!r}")
 
 
+def _solve_conic(prog: ConicProgram, config: SolverConfig) -> ConicResult:
+    return solve_conic(prog, config.tolerance, config.max_iterations,
+                       config.keep_trace or config.trace_path is not None)
+
+
 def _solve_pair(problem: SdpProblem, config: SolverConfig) -> Solution:
     t0 = time.perf_counter()
-    res = solve_conic(_conic_from_pair(problem), config.ipm_options())
+    res = _solve_conic(_conic_from_pair(problem), config)
     sense = problem.sense
     status = _STATUS[res.status]
     if sense == "max":  # a max-sense pair is the program's dual side
         status = _ACROSS_DUALITY.get(status, status)
     if status in _ACROSS_DUALITY:
-        return _finish(_certified(status, sense, res), problem, config, res, t0)
-    slacks = [sym(z) for z in res.z_blocks]
+        sol = _certified(status, sense, res)
+        return _finish(sol, problem, config, res.iterations, res.trace, t0)
+    xs = _unstack(res.x_blocks)
+    slacks = [sym(z) for z in _unstack(res.z_blocks)]
     if sense == "max":
-        objective, psd, eq_mult = res.dual_objective, slacks, _plain_upper(res.x_blocks)
+        objective, psd, eq_mult = res.dual_objective, slacks, _plain_upper(xs)
     else:
-        objective, psd, eq_mult = res.primal_objective, res.x_blocks, res.w.copy()
+        objective, psd, eq_mult = res.primal_objective, xs, res.w.copy()
     sol = Solution(
         status=status,
         objective=objective + problem.obj_offset,
         psd_blocks=psd,
         free_vars=res.w,
         eq_multipliers=eq_mult,
-        moment_matrices=list(res.x_blocks),
+        moment_matrices=xs,
         dual_slacks=slacks,
     )
-    return _finish(sol, problem, config, res, t0)
+    return _finish(sol, problem, config, res.iterations, res.trace, t0)
+
+
+def _restricted_solution(bs: BlockSdp, red: _RestrictedReduction, status: Status,
+                         objective: float, groups: Sequence[np.ndarray],
+                         moments: List[np.ndarray]) -> Solution:
+    """A restricted dual's Solution from its (N, r, r) stacks of S_i, one per
+    ensemble, and its moment matrices; y is recovered from the lifts."""
+    lifts = [lift_dual_certificate(s, ens) for s, ens in zip(groups, bs.ensembles)]
+    return Solution(
+        status=status,
+        objective=objective,
+        psd_blocks=_unstack(groups),
+        free_vars=red.recover_y(np.concatenate([svec(L) for L in lifts])),
+        eq_multipliers=_plain_upper(moments),
+        moment_matrices=moments,
+    )
 
 
 def _solve_restricted(bs: BlockSdp, config: SolverConfig) -> Solution:
     t0 = time.perf_counter()
     red = restricted_reduction(bs.base)
-    res = solve_conic(_conic_from_restricted(bs, red), config.ipm_options())
+    res = _solve_conic(_conic_from_restricted(bs, red), config)
     status = _STATUS[res.status]
     if status in _ACROSS_DUALITY:
-        return _finish(_certified(status, bs.sense, res), bs, config, res, t0)
-    blocks = [sym(x) for x in res.x_blocks]
-    lifts = lift_blocks(bs, blocks)
-    moments = red.moment_matrices(res.w)
-    sol = Solution(
-        status=status,
-        objective=red.const - res.primal_objective,
-        psd_blocks=blocks,
-        free_vars=red.recover_y(np.concatenate([svec(L) for L in lifts])),
-        eq_multipliers=_plain_upper(moments),
-        moment_matrices=moments,
-    )
-    return _finish(sol, bs, config, res, t0)
+        sol = _certified(status, bs.sense, res)
+    else:
+        sol = _restricted_solution(bs, red, status, red.const - res.primal_objective,
+                                   [sym(x) for x in res.x_blocks], red.moment_matrices(res.w))
+    return _finish(sol, bs, config, res.iterations, res.trace, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +448,7 @@ def kkt_residuals(problem: Union[SdpProblem, BlockSdp], solution: Solution) -> K
         else:
             x_mats = solution.psd_blocks
             s_mats = solution.dual_slacks or problem.dual_slack(y)
-        viol = _cone_violation(x_mats)
+        viol = _cone_violation([x[None] for x in x_mats])
         return _pair_residuals(problem, y, s_mats, x_mats, viol)
 
     # A BlockSdp of either kind carries its restricted dual's solution.
@@ -445,25 +458,17 @@ def kkt_residuals(problem: Union[SdpProblem, BlockSdp], solution: Solution) -> K
         solution.moment_matrices
         or _mats_from_plain_upper(solution.eq_multipliers, base.block_dims)
     )
-    viol = _projected_violation(problem, x_mats)
+    projections = [np.swapaxes(u, 1, 2) @ x @ u
+                   for u, x in zip((ens.stack() for ens in problem.ensembles), x_mats)]
+    viol = _cone_violation(projections)
     return _pair_residuals(base, solution.free_vars, lifts, x_mats, viol)
 
 
-def _cone_violation(mats: Sequence[np.ndarray]) -> float:
+def _cone_violation(stacks: Sequence[np.ndarray]) -> float:
+    """Largest -lambda_min(M) / (1 + |M|), and 0, over the matrices M of (N, r, r) stacks."""
     worst = 0.0
-    for m in mats:
-        if m.size == 0:
-            continue
-        lam = float(np.linalg.eigvalsh(sym(m))[0])
-        worst = max(worst, -lam / (1.0 + float(np.linalg.norm(m))))
-    return worst
-
-
-def _projected_violation(bs: BlockSdp, x_mats: Sequence[np.ndarray]) -> float:
-    worst = 0.0
-    for ens, x in zip(bs.ensembles, x_mats):
-        for u in ens.matrices:
-            proj = u.T @ x @ u
-            lam = float(np.linalg.eigvalsh(sym(proj))[0])
-            worst = max(worst, -lam / (1.0 + float(np.linalg.norm(proj))))
+    for s in stacks:
+        if s.size:
+            lam = np.linalg.eigvalsh(sym(s))[:, 0]
+            worst = max(worst, float(np.max(-lam / (1.0 + np.linalg.norm(s, axis=(1, 2))))))
     return worst

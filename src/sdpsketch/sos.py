@@ -67,9 +67,12 @@ class MomentMeta:
     rows: Dict[Monomial, List[Tuple[int, int, int]]]
 
 
-@dataclass
+@dataclass(eq=False)
 class SdpProblem:
-    """Canonical SDP pair data; see module docstring for both readings."""
+    """Canonical SDP pair data; see module docstring for both readings.
+
+    Problems compare by identity: a copy is a different problem.
+    """
 
     block_dims: Tuple[int, ...]
     cost_blocks: Tuple[np.ndarray, ...]
@@ -78,9 +81,9 @@ class SdpProblem:
     obj_offset: float = 0.0
     moment_meta: Optional[MomentMeta] = None
     # The restricted dual's elimination data (solver.restricted_reduction),
-    # built on the first restriction and shared by all of them; neither
-    # serialized nor compared.  Problems are not changed after construction.
-    reduction: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    # built on the first restriction and shared by all of them; not
+    # serialized.  Problems are not changed after construction.
+    reduction: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):

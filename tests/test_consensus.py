@@ -112,3 +112,14 @@ class TestResidualBehavior:
         cfg = SolverConfig(workers=1, keep_trace=True)
         cs = solve_consensus(bs, cfg)
         assert cs.trace[-1]["residual"] <= cfg.admm_tolerance
+
+
+class TestTrace:
+    def test_trace_path_writes_one_row_per_iteration(self, rng, tmp_path):
+        bs = feasible_projected_instances(1, rng)[0]
+        path = tmp_path / "trace.csv"
+        sol = solve(bs, SolverConfig(mode="consensus", trace_path=str(path)))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "iteration,residual"
+        assert len(lines) == 1 + sol.iterations
+        assert len(sol.trace) == sol.iterations

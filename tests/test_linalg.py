@@ -43,6 +43,32 @@ def test_max_step_psd_matches_bisection():
             assert np.linalg.eigvalsh(m + 1.001 * t * d)[0] <= 1e-9
 
 
+def test_max_step_psd_on_a_stack_is_the_smallest_step():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n, count = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        mats, dirs = [], []
+        for _ in range(count):
+            g = rng.standard_normal((n, n))
+            mats.append(g @ g.T + 0.1 * np.eye(n))
+            d = random_sym(rng, n)
+            dirs.append(d @ d if rng.random() < 0.3 else d)  # some never leave the cone
+        steps = [max_step_psd(m, d) for m, d in zip(mats, dirs)]
+        assert max_step_psd(np.stack(mats), np.stack(dirs)) == min(steps)
+
+
+def test_max_step_psd_on_a_stack_is_inf_when_every_step_is():
+    rng = np.random.default_rng(8)
+    mats = np.stack([np.eye(3) * (k + 1) for k in range(4)])
+    dirs = np.stack([g @ g.T for g in rng.standard_normal((4, 3, 3))])
+    assert max_step_psd(mats, dirs) == np.inf
+
+
+def test_sym_on_a_stack_matches_each_matrix():
+    stack = np.random.default_rng(9).standard_normal((5, 4, 4))
+    assert np.array_equal(sym(stack), np.stack([sym(m) for m in stack]))
+
+
 def test_nullspace_is_orthonormal_kernel():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 9))

@@ -192,6 +192,15 @@ class TestLift:
         lift = lift_dual_certificate(blocks, ens)
         assert np.linalg.eigvalsh(lift)[0] >= -1e-10
 
+    def test_stack_matches_per_sample_sum(self, rng):
+        ens = sample_ensemble(6, 3, 5, seed=9)
+        stack = rng.standard_normal((5, 3, 3))
+        loop = sum(u @ (0.5 * (s + s.T)) @ u.T for u, s in zip(ens.matrices, stack))
+        assert np.allclose(lift_dual_certificate(stack, ens), loop, rtol=0, atol=1e-13)
+        assert np.array_equal(lift_dual_certificate(stack, ens), lift_dual_certificate(list(stack), ens))
+        with pytest.raises(ValueError):
+            lift_dual_certificate(stack[:4], ens)
+
 
 class TestProjectedPrimal:
     def base(self):

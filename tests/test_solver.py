@@ -1,7 +1,14 @@
 import numpy as np
 
-from sdpsketch.instances import infeasible_sdp, random_feasible_sdp, unbounded_sdp
+from sdpsketch.control import compile_poc
+from sdpsketch.instances import (
+    default_poc_problem,
+    infeasible_sdp,
+    random_feasible_sdp,
+    unbounded_sdp,
+)
 from sdpsketch.polynomial import monomial_basis, parse_polynomial
+from sdpsketch.sketch import ensembles_for_problem, restrict_dual
 from sdpsketch.solver import SolverConfig, Solution, Status, kkt_residuals, solve
 from sdpsketch.sos import SdpProblem, compile_pop
 
@@ -146,3 +153,35 @@ class TestScaling:
         logt = np.log(np.array(times))
         slope = np.polyfit(logs, logt, 1)[0]
         assert slope >= 2.5, f"scaling exponent {slope:.2f} below 2.5: {times}"
+
+
+class TestRobustness:
+    def test_singular_z_inverse_ends_the_solve(self, rng, monkeypatch):
+        # Z can pass its Cholesky check and still be singular in rounding, so
+        # that inverting it raises.  Force that from the third inverse on.
+        prob = random_feasible_sdp(rng, 5, 3)
+        real_solve = np.linalg.solve
+        inverses = []
+
+        def solve_failing_on_inverse(a, b):
+            b = np.asarray(b)
+            if b.shape[-2:] == a.shape[-2:] and np.array_equal(
+                    b, np.broadcast_to(np.eye(b.shape[-1]), b.shape)):
+                inverses.append(a)
+                if len(inverses) >= 3:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_failing_on_inverse)
+        sol = solve(prob)
+        assert len(inverses) >= 3
+        assert sol.status == Status.NumericalFailure
+        assert sol.iterations == 3
+        assert sol.kkt is not None and np.isfinite(sol.objective)
+
+    def test_poc_cells_with_a_singular_z_return_a_status(self):
+        # Rank 2 on these ensemble seeds once raised from inverting Z.
+        prob = compile_poc(default_poc_problem())
+        for seed in (619, 1823):
+            sol = solve(restrict_dual(prob, ensembles_for_problem(prob, 2, 100, seed)))
+            assert isinstance(sol.status, Status)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sdpsketch.polynomial import (
     monomial_basis,
     parse_polynomial,
 )
+from sdpsketch.sketch import ensembles_for_problem, restrict_dual
 from sdpsketch.solver import Status, solve
 from sdpsketch.sos import SdpProblem, compile_pop, compile_sos, compile_sos_on_ball, gram_map
 
@@ -183,6 +185,15 @@ class TestSerialization:
         assert np.allclose(prob.cost_blocks[0], back.cost_blocks[0], atol=0)
         assert back.moment_meta is not None
         assert back.moment_meta.basis.elements == prob.moment_meta.basis.elements
+
+    def test_problems_compare_by_identity(self, product_poly):
+        prob = compile_pop(product_poly, monomial_basis(2, 4))
+        copy = pickle.loads(pickle.dumps(prob))
+        assert prob == prob and prob != copy
+        assert prob in [prob] and copy not in [prob]
+        ens = ensembles_for_problem(prob, 1, 2, seed=0)
+        assert restrict_dual(prob, ens) == restrict_dual(prob, ens)
+        assert restrict_dual(prob, ens) != restrict_dual(copy, ens)
 
     def test_symmetry_validation(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
