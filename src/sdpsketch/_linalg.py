@@ -91,55 +91,50 @@ def aggregate_congruence_operator(p_stack: np.ndarray, q_stack: np.ndarray) -> n
     p_stack, q_stack have shape (N, n, n).  The result M satisfies
     svec(B)' M svec(B') = sum_i Tr(B P_i B' Q_i) for all symmetric B, B',
     which is exactly the HKM Schur-complement kernel aggregated over blocks.
+    It is built one row band at a time (congruence_band), so the n^4 tensor
+    of all products is never formed.
     """
     n = p_stack.shape[-1]
-    # T4[a,b,c,d] = sum_i P_i[b,c] Q_i[d,a]; contraction over i is one GEMM.
-    t4 = np.einsum("ibc,ida->abcd", p_stack, q_stack, optimize=True)
-    ia, ib = triu_indices(n)
-    w = _svec_weights(n)
-    ra = ia[:, None]
-    rb = ib[:, None]
-    ca = ia[None, :]
-    cb = ib[None, :]
-    gathered = (
-        t4[ra, rb, ca, cb]
-        + t4[rb, ra, ca, cb]
-        + t4[ra, rb, cb, ca]
-        + t4[rb, ra, cb, ca]
-    )
-    return 0.25 * (w[:, None] * gathered * w[None, :])
-
-
-def projection_hessian(u_stack: np.ndarray) -> np.ndarray:
-    """svec-coordinate matrix of X -> sum_i P_i X P_i with P_i = U_i U_i'.
-
-    u_stack has shape (N, n, r).  Equals aggregate_congruence_operator(P, P),
-    built one row band (the rows (a, b), b >= a) at a time, so that neither
-    the n^4 tensor nor a four-index gather from it is ever formed.
-    """
-    n = u_stack.shape[1]
-    pt = projection_products(u_stack)
+    pt = congruence_rows(p_stack)
+    qt = pt if q_stack is p_stack else congruence_rows(q_stack)
     out = np.empty((svec_dim(n), svec_dim(n)))
     for a in range(n):
-        projection_hessian_band(pt, a, out)
+        congruence_band(pt, qt, a, out)
     return out
 
 
-def projection_products(u_stack: np.ndarray) -> np.ndarray:
-    """(n*n, N) array whose row b * n + c holds P_i[b, c] over i, P_i = U_i U_i'."""
-    big_n, n, _ = u_stack.shape
-    p = np.matmul(u_stack, u_stack.transpose(0, 2, 1)).reshape(big_n, n * n)
-    return np.ascontiguousarray(p.T)
+def congruence_rows(stack: np.ndarray) -> np.ndarray:
+    """(n*n, N) array whose row b * n + c holds stack[i, b, c] over i."""
+    big_n, n, _ = stack.shape
+    return np.ascontiguousarray(stack.reshape(big_n, n * n).T)
 
 
-def projection_hessian_band(pt: np.ndarray, a: int, out: np.ndarray) -> None:
-    """Row band a of projection_hessian into `out`, from pt = projection_products(U)."""
+def congruence_band(pt: np.ndarray, qt: np.ndarray, a: int, out: np.ndarray) -> None:
+    """Rows (a, b), b >= a, of aggregate_congruence_operator(P, Q) into `out`,
+    from pt = congruence_rows(P) and qt = congruence_rows(Q)."""
     n = int(round(np.sqrt(pt.shape[0])))
     ic, jd = triu_indices(n)
     w = _svec_weights(n)
     start = a * n - a * (a - 1) // 2
     rows = slice(start, start + n - a)
-    # blk[j, c, d] = sum_i P_i[a + j, c] P_i[a, d]
-    blk = (pt[a * n:] @ pt[a * n:(a + 1) * n].T).reshape(n - a, n, n)
+    # blk[j, c, d] = sum_i P_i[a + j, c] Q_i[a, d] + Q_i[a + j, c] P_i[a, d]
+    blk = pt[a * n:] @ qt[a * n:(a + 1) * n].T
+    if qt is pt:  # the two products are equal; doubling is exact
+        blk *= 2.0
+    else:
+        blk += qt[a * n:] @ pt[a * n:(a + 1) * n].T
+    blk = blk.reshape(n - a, n, n)
     out[rows] = blk[:, ic, jd] + blk[:, jd, ic]
-    out[rows] *= 0.5 * w[rows, None] * w[None, :]
+    out[rows] *= 0.25 * w[rows, None] * w[None, :]
+
+
+def lift_congruence(ut: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_i U_i S_i U_i' from ut, the (N, r, n) stack of U_i', and s, (N, r, r)."""
+    big_n, r, n = ut.shape
+    return ut.reshape(big_n * r, n).T @ (s @ ut).reshape(big_n * r, n)
+
+
+def restrict_congruence(ut: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (N, r, r) stack of U_i' Y U_i, from ut, the (N, r, n) stack of U_i'."""
+    big_n, r, n = ut.shape
+    return (ut.reshape(big_n * r, n) @ y).reshape(big_n, r, n) @ ut.transpose(0, 2, 1)

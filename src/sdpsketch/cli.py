@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -54,22 +55,18 @@ def _add_experiment_flags(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    merged = ExperimentConfig.from_json_dict(data).to_json_dict()
-    for name in (
-        "kind", "problem_path", "ranks", "samples", "seeds", "jobs", "tolerance",
-        "mode", "nested", "orthonormal", "basis_degree", "ball_radius",
-        "multiplier_degree", "out_dir",
-    ):
-        val = getattr(args, name, None)
-        if val is not None:
-            merged[name] = val
-    if getattr(args, "no_ball", False):
-        merged["ball_radius"] = None
-    return ExperimentConfig.from_json_dict(merged)
+    data = _read_json(args.config) if args.config else {}
+    try:
+        merged = ExperimentConfig.from_json_dict(data).to_json_dict()
+        for f in fields(ExperimentConfig):
+            val = getattr(args, f.name, None)
+            if val is not None:
+                merged[f.name] = val
+        if getattr(args, "no_ball", False):
+            merged["ball_radius"] = None
+        return ExperimentConfig.from_json_dict(merged)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -94,21 +91,35 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _load_problem_file(path: str):
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SystemExit(
             f"error: {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from None
-    kind = data.get("type")
+    except ValueError as exc:  # not text
+        raise SystemExit(f"error: cannot read {path}: {exc}") from None
+
+
+def _load_problem_file(path: str):
+    data = _read_json(path)
+    kind = data.get("type") if isinstance(data, dict) else None
     if kind == "block_sdp":
-        return BlockSdp.from_json_dict(data)
-    if kind == "sdp_problem" or "block_dims" in data:
-        return SdpProblem.from_json_dict(data)
-    raise SystemExit(f"error: {path} does not contain an SDP or block-SDP document")
+        loader = BlockSdp.from_json_dict
+    elif kind == "sdp_problem" or (isinstance(data, dict) and "block_dims" in data):
+        loader = SdpProblem.from_json_dict
+    else:
+        raise SystemExit(f"error: {path} does not contain an SDP or block-SDP document")
+    try:
+        return loader(data)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise SystemExit(f"error: {path} is not a valid problem document: {what}") from None
 
 
 def _cmd_solve(args) -> int:

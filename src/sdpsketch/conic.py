@@ -5,13 +5,13 @@ solvers:
     s.t. rows(S) = g,   S_b PSD
 
 Blocks travel in groups of equal size: each group is one (N, r, r) array
-and the row system lists its groups as (N, r) pairs.  Row systems come in
-two layouts: explicit stacked constraint matrices (DenseRows, the canonical
-pair, one group of size 1 per block), and the restricted layout where every
-conic block enters each row through a congruence U_i' (.) U_i against a
-shared family of base-space rows (ProjectedRows, one group of N samples
-per base block).  The restricted layout assembles its Schur complement
-through one aggregated kernel per group instead of per-block tensors.
+and the row system lists its groups as (N, r) pairs.  Both row systems read
+the base problem's svec constraint matrix, one (num_rows, svec_dim(n_b))
+row segment per base block: DenseRows (the canonical pair, one group of
+size 1 per block) applies it to the blocks directly, and ProjectedRows (the
+restricted layout, one group of N samples per base block) through a
+congruence U_i' (.) U_i per sample.  Both assemble their Schur complement
+as sum_b R_b K_b R_b' with one aggregated congruence kernel K_b per group.
 """
 
 from __future__ import annotations
@@ -21,14 +21,27 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import aggregate_congruence_operator, smat, svec, sym
+from ._linalg import (
+    aggregate_congruence_operator,
+    lift_congruence,
+    restrict_congruence,
+    smat,
+    svec,
+    sym,
+)
 
 
 class RowOps:
-    """Linear row system over groups of PSD blocks, each an (N, r, r) array."""
+    """Linear row system over groups of PSD blocks, each an (N, r, r) array,
+    read from one (num_rows, svec_dim(n_b)) svec row segment per base block."""
 
-    num_rows: int
     groups: Tuple[Tuple[int, int], ...]
+
+    def __init__(self, base_dims: Sequence[int], row_segments: List[np.ndarray]):
+        self.base_dims = tuple(int(n) for n in base_dims)
+        self.row_segments = list(row_segments)
+        self.num_rows = self.row_segments[0].shape[0]
+        assert all(r.shape[0] == self.num_rows for r in self.row_segments)
 
     def apply(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
@@ -45,30 +58,26 @@ class RowOps:
 
 
 class DenseRows(RowOps):
-    """Rows stored as stacked (num_rows, r_b, r_b) tensors; every block is a group of one."""
+    """The pair's rows: block b enters row j through R_b[j] = svec(A_{j,b});
+    every block is a group of one."""
 
-    def __init__(self, tensors: List[np.ndarray], num_rows: int):
-        self.tensors = [np.ascontiguousarray(t, dtype=float) for t in tensors]
-        self.groups = tuple((1, t.shape[-1]) for t in self.tensors)
-        self.num_rows = num_rows
-        self.flat = [t.reshape(num_rows, t.shape[-1] ** 2) for t in self.tensors]
+    def __init__(self, base_dims: Sequence[int], row_segments: List[np.ndarray]):
+        super().__init__(base_dims, row_segments)
+        self.groups = tuple((1, n) for n in self.base_dims)
 
     def apply(self, blocks):
         out = np.zeros(self.num_rows)
-        for f, s in zip(self.flat, blocks):
-            out += f @ np.ravel(s)
+        for rows, s in zip(self.row_segments, blocks):
+            out += rows @ svec(s[0])
         return out
 
     def adjoint_blocks(self, w):
-        return [(w @ f).reshape(1, r, r) for f, (_, r) in zip(self.flat, self.groups)]
+        return [smat(rows.T @ w, n)[None] for rows, n in zip(self.row_segments, self.base_dims)]
 
     def schur(self, x_blocks, zinv_blocks):
-        m = self.num_rows
-        out = np.zeros((m, m))
-        for t, f, x, zi in zip(self.tensors, self.flat, x_blocks, zinv_blocks):
-            r = t.shape[-1]
-            y = zi[0] @ t @ x[0]  # (m, r, r); <A_j, Zinv A_k X> = Tr(A_j X A_k Zinv)
-            out += f @ y.reshape(m, r * r).T
+        out = np.zeros((self.num_rows, self.num_rows))
+        for rows, x, zi in zip(self.row_segments, x_blocks, zinv_blocks):
+            out += rows @ aggregate_congruence_operator(x, zi) @ rows.T
         return sym(out)
 
 
@@ -78,40 +87,30 @@ class ProjectedRows(RowOps):
     For each base block b with row matrices R (given as svec rows, shape
     (num_rows, svec_dim(n_b))), the conic blocks (b, i) enter row j with
     coefficient matrix U_{b,i}' smat(R_j) U_{b,i}.  Base block b's samples
-    form one group, stacked like its (N, n_b, r) stack of U_{b,i}.
+    form one group, held as the (N, r, n_b) stack of U_{b,i}'.
     """
 
-    def __init__(self, base_dims: Sequence[int], u_stacks: List[np.ndarray],
+    def __init__(self, base_dims: Sequence[int], ut_stacks: List[np.ndarray],
                  row_segments: List[np.ndarray]):
-        self.base_dims = tuple(int(n) for n in base_dims)
-        self.u_stacks = [np.ascontiguousarray(u, dtype=float) for u in u_stacks]
-        self.row_segments = [np.ascontiguousarray(r, dtype=float) for r in row_segments]
-        self.num_rows = row_segments[0].shape[0]
-        assert all(r.shape[0] == self.num_rows for r in row_segments)
-        self.groups = tuple((u.shape[0], u.shape[2]) for u in self.u_stacks)
+        super().__init__(base_dims, row_segments)
+        self.ut_stacks = [np.ascontiguousarray(ut, dtype=float) for ut in ut_stacks]
+        self.groups = tuple((ut.shape[0], ut.shape[1]) for ut in self.ut_stacks)
 
     def apply(self, blocks):
         out = np.zeros(self.num_rows)
-        for u, s, rows in zip(self.u_stacks, blocks, self.row_segments):
-            lifted = np.einsum("inr,imr->nm", u @ s, u, optimize=True)  # sum_i U_i S_i U_i'
-            out += rows @ svec(sym(lifted))
+        for ut, s, rows in zip(self.ut_stacks, blocks, self.row_segments):
+            out += rows @ svec(sym(lift_congruence(ut, s)))
         return out
 
     def adjoint_blocks(self, w):
-        mats: List[np.ndarray] = []
-        for u, rows, n in zip(self.u_stacks, self.row_segments, self.base_dims):
-            y = smat(rows.T @ w, n)
-            tmp = y @ u  # (N, n, r)
-            mats.append(sym(np.einsum("inr,ins->irs", u, tmp, optimize=True)))
-        return mats
+        return [sym(restrict_congruence(ut, smat(rows.T @ w, n)))
+                for ut, rows, n in zip(self.ut_stacks, self.row_segments, self.base_dims)]
 
     def schur(self, x_blocks, zinv_blocks):
-        m = self.num_rows
-        out = np.zeros((m, m))
-        for u, rows, xs, zs in zip(self.u_stacks, self.row_segments, x_blocks, zinv_blocks):
-            p_stack = np.einsum("inr,irs,ims->inm", u, xs, u, optimize=True)
-            q_stack = np.einsum("inr,irs,ims->inm", u, zs, u, optimize=True)
-            kernel = aggregate_congruence_operator(p_stack, q_stack)
+        out = np.zeros((self.num_rows, self.num_rows))
+        for ut, rows, xs, zs in zip(self.ut_stacks, self.row_segments, x_blocks, zinv_blocks):
+            u = ut.transpose(0, 2, 1)
+            kernel = aggregate_congruence_operator(u @ (xs @ ut), u @ (zs @ ut))
             out += rows @ kernel @ rows.T
         return sym(out)
 

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
 
 from ._blas import limit_blas_threads
-from ._linalg import projection_hessian_band, projection_products, smat, svec, sym
+from ._linalg import congruence_band, congruence_rows, sym
 from ._team import Arena, Team
 from .sketch import BlockSdp
 from .solver import Solution, Status, _finish, _restricted_solution, restricted_reduction
@@ -65,7 +65,7 @@ class _Group:
     def __init__(self, ens):
         self.n = ens.n
         self.r = ens.r
-        self.ut = np.ascontiguousarray(ens.stack().transpose(0, 2, 1))  # (N, r, n): U_i'
+        self.ut = ens.transposed_stack()  # (N, r, n): U_i'
         self.chunks = _split(ens.N, min(ens.N, CHUNKS_PER_ENSEMBLE))
         self.x = self.w = self.lam = None  # shared views, set by _Workspace
 
@@ -113,7 +113,7 @@ class _Workspace:
         self.contribs = [next(arrays) for _ in self.chunks]
         self.norms = next(arrays)
         # Read-only inputs of the Hessian bands; the helpers inherit them.
-        self.products = [projection_products(grp.ut.transpose(0, 2, 1)) for grp in groups]
+        self.products = [congruence_rows(grp.ut.transpose(0, 2, 1) @ grp.ut) for grp in groups]
         self._task_lists: Dict[Tuple[int, int], List] = {}
         self.team = Team(workers, self._task_list)
         # The constant Hessian of X -> U_i' X U_i, one row band per task.
@@ -157,7 +157,7 @@ class _Workspace:
 
     def _hessian_band(self, arg):
         b, a = arg
-        projection_hessian_band(self.products[b], a, self.hess[b])
+        congruence_band(self.products[b], self.products[b], a, self.hess[b])
 
     def _fill(self, arg):
         """Rows of rho H + delta I; the first row tile also yields pivot 0."""
@@ -313,8 +313,8 @@ def solve_consensus(problem: BlockSdp, config) -> Solution:
     t_start = time.perf_counter()
     red = restricted_reduction(problem.base)
     with limit_blas_threads(1):
-        ws = _Workspace([_Group(ens) for ens in problem.ensembles], red.offsets, red.a_mat,
-                        config.workers)
+        ws = _Workspace([_Group(ens) for ens in problem.ensembles], problem.base.offsets,
+                        red.a_mat, config.workers)
         try:
             return _solve(problem, config, red, ws, t_start)
         finally:
@@ -328,7 +328,6 @@ def _solve(problem: BlockSdp, config, red, ws: _Workspace, t_start: float) -> So
     tol = float(config.admm_tolerance)
     max_iter = int(config.admm_max_iterations)
     delta = 1e-8
-    offsets = red.offsets
     c_vec = red.c_vec
     b = base.rhs
 
@@ -336,16 +335,15 @@ def _solve(problem: BlockSdp, config, red, ws: _Workspace, t_start: float) -> So
     if not ws.factor(rho, delta):
         status, max_iter = Status.NumericalFailure, 0
     history: List[float] = []
-    x_vec = np.zeros(int(offsets[-1]))
+    x_vec = np.zeros(c_vec.shape)
     x_mats = [np.zeros((n, n)) for n in base.block_dims]
     it = 0
     rhs_acc = [np.zeros((n, n)) for n in base.block_dims]
 
     for it in range(1, max_iter + 1):
-        f = rho * np.concatenate([svec(rb) for rb in rhs_acc]) - c_vec + delta * x_vec
+        f = rho * base.pack(rhs_acc) - c_vec + delta * x_vec
         x_vec = ws.solve(f, b)
-        x_mats = [smat(x_vec[offsets[g]:offsets[g + 1]], n)
-                  for g, n in enumerate(base.block_dims)]
+        x_mats = base.unpack(x_vec)
 
         rhs_acc, r_primal, r_dual = ws.block_pass(x_mats, rho)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -53,30 +53,19 @@ class ExperimentConfig:
     grid_points: int = 201
     grid_halfwidth: float = 2.0
 
+    def __post_init__(self):
+        if not self.ranks or min(self.ranks) < 1:
+            raise ValueError(f"ranks must be at least 1, got {list(self.ranks)}")
+        for name in ("samples", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tolerance=self.tolerance, mode="interior_point"
                             if self.mode in ("interior_point", "ipm") else "consensus")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ranks": list(self.ranks),
-            "samples": self.samples,
-            "seeds": list(self.seeds),
-            "nested": self.nested,
-            "orthonormal": self.orthonormal,
-            "jobs": self.jobs,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "out_dir": self.out_dir,
-            "problem_path": self.problem_path,
-            "basis_degree": self.basis_degree,
-            "ball_radius": self.ball_radius,
-            "multiplier_degree": self.multiplier_degree,
-            "density_degree": self.density_degree,
-            "grid_points": self.grid_points,
-            "grid_halfwidth": self.grid_halfwidth,
-        }
+        return {**asdict(self), "ranks": list(self.ranks), "seeds": list(self.seeds)}
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":

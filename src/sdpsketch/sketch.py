@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import sym
+from ._linalg import lift_congruence, sym
 from .sos import SdpProblem
 
 _EXTEND_STREAM = 9650218  # namespace tag for nested-extension RNG streams
@@ -46,8 +46,9 @@ class SubspaceEnsemble:
                 if err > 1e-12:
                     raise ValueError(f"orthonormality violated by {err:.2e}")
 
-    def stack(self) -> np.ndarray:
-        return np.stack(self.matrices)
+    def transposed_stack(self) -> np.ndarray:
+        """The C-contiguous (N, r, n) stack of the U_i'."""
+        return np.ascontiguousarray(np.stack(self.matrices).transpose(0, 2, 1))
 
     # Serialization stores only the recipe; matrices are regenerated.
     def to_json_dict(self) -> dict:
@@ -235,8 +236,7 @@ def lift_dual_certificate(blocks: Sequence[np.ndarray], ens: SubspaceEnsemble) -
     if stack.shape != (ens.N, ens.r, ens.r):
         raise ValueError(f"got blocks of shape {stack.shape} for an ensemble of "
                          f"N={ens.N} blocks of shape {(ens.r, ens.r)}")
-    u = ens.stack()
-    return sym(np.einsum("inr,irs,ims->nm", u, sym(stack), u, optimize=True))
+    return sym(lift_congruence(ens.transposed_stack(), sym(stack)))
 
 
 def lift_blocks(bs: BlockSdp, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:

@@ -22,6 +22,12 @@ Inside, the interior-point solver holds each block group as one (N, r, r)
 array (see conic): one group of N samples per ensemble of a BlockSdp, one
 group of size 1 per block of the pair.  The Solution is unstacked once, so
 its block lists hold one matrix per sample or block.
+
+Every layout reads the base problem's one svec constraint matrix a_svec:
+the pair as DenseRows row segments, each restricted dual through the
+elimination data built from it once per base problem (restricted_reduction,
+shared with the consensus solver), and the KKT replay through the
+problem's dual_slack and constraint_values.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._linalg import smat, svec, svec_dim, sym, triu_indices
+from ._linalg import restrict_congruence, sym, triu_indices
 from .conic import ConicProgram, DenseRows, ProjectedRows
 from .ipm import (
     DUAL_INFEASIBLE,
@@ -117,7 +123,8 @@ class Solution:
     def to_json_dict(self) -> dict:
         return {
             "status": self.status.value,
-            "objective": self.objective,
+            # Strict JSON: an infinite objective is written as null; the status says why.
+            "objective": self.objective if np.isfinite(self.objective) else None,
             "psd_blocks": [b.tolist() for b in self.psd_blocks],
             "free_vars": self.free_vars.tolist(),
             "eq_multipliers": self.eq_multipliers.tolist(),
@@ -137,25 +144,16 @@ def _unstack(groups: Sequence[np.ndarray]) -> List[np.ndarray]:
 
 
 def _plain_upper(mats: Sequence[np.ndarray]) -> np.ndarray:
-    parts = []
-    for m in mats:
-        ia, ib = triu_indices(m.shape[0])
-        parts.append(m[ia, ib])
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate([m[triu_indices(m.shape[0])] for m in mats])
 
 
-def _mats_from_plain_upper(vec: np.ndarray, dims: Sequence[int]) -> List[np.ndarray]:
+def _mats_from_plain_upper(vec: np.ndarray, problem: SdpProblem) -> List[np.ndarray]:
+    """The problem's blocks from their _plain_upper entries."""
     out = []
-    start = 0
-    for n in dims:
-        k = svec_dim(n)
-        seg = vec[start:start + k]
-        ia, ib = triu_indices(n)
+    for seg, n in zip(problem.segments(vec), problem.block_dims):
         m = np.zeros((n, n))
-        m[ia, ib] = seg
-        m[ib, ia] = seg
-        out.append(m)
-        start += k
+        m[triu_indices(n)] = seg
+        out.append(m + np.triu(m, 1).T)
     return out
 
 
@@ -165,10 +163,8 @@ def _mats_from_plain_upper(vec: np.ndarray, dims: Sequence[int]) -> List[np.ndar
 
 
 def _conic_from_pair(problem: SdpProblem) -> ConicProgram:
-    m = problem.num_constraints
-    tensors = [problem.constraint_tensor(b) for b in range(problem.num_blocks)]
     return ConicProgram(
-        ops=DenseRows(tensors, m),
+        ops=DenseRows(problem.block_dims, [seg.T for seg in problem.segments(problem.a_svec)]),
         rhs=problem.rhs,
         block_costs=[c[None] for c in problem.cost_blocks],
         gap_offset=problem.obj_offset,
@@ -179,31 +175,22 @@ class _RestrictedReduction:
     """Free-variable elimination data shared by every restricted dual of one base problem."""
 
     def __init__(self, base: SdpProblem):
-        sdims = [svec_dim(n) for n in base.block_dims]
-        offsets = np.concatenate([[0], np.cumsum(sdims)]).astype(int)
-        total = int(offsets[-1])
+        a_mat = base.a_svec
+        c_vec = base.pack(base.cost_blocks)
         m = base.num_constraints
-
-        a_mat = np.zeros((total, m))
-        for j, (mats, _) in enumerate(base.constraints):
-            a_mat[:, j] = np.concatenate([svec(a) for a in mats])
-        c_vec = np.concatenate([svec(c) for c in base.cost_blocks])
-
         if m:
             gram = a_mat.T @ a_mat
             try:
-                cho = cho_factor(gram + 1e-14 * np.trace(gram) / max(m, 1) * np.eye(m))
+                cho = cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
                 self._solve_gram = lambda rhs: cho_solve(cho, rhs)
             except np.linalg.LinAlgError:
                 pinv = np.linalg.pinv(gram)
                 self._solve_gram = lambda rhs: pinv @ rhs
-            w_obj = a_mat @ self._solve_gram(base.rhs)
         else:
             self._solve_gram = lambda rhs: rhs
-            w_obj = np.zeros(total)
+        w_obj = a_mat @ self._solve_gram(base.rhs)
 
         self.base = base
-        self.offsets = offsets
         self.a_mat = a_mat
         self.w_obj = w_obj
         self.c_vec = c_vec
@@ -227,25 +214,13 @@ class _RestrictedReduction:
 
     @cached_property
     def row_segments(self) -> List[np.ndarray]:
-        return [
-            np.ascontiguousarray(self.perp[self.offsets[b]:self.offsets[b + 1], :].T)
-            for b in range(self.base.num_blocks)
-        ]
-
-    def segment(self, vec: np.ndarray, b: int) -> np.ndarray:
-        return vec[self.offsets[b]:self.offsets[b + 1]]
+        return [np.ascontiguousarray(seg.T) for seg in self.base.segments(self.perp)]
 
     def recover_y(self, lift_vec: np.ndarray) -> np.ndarray:
-        if self.base.num_constraints == 0:
-            return np.zeros(0)
         return self._solve_gram(self.a_mat.T @ (self.c_vec - lift_vec))
 
     def moment_matrices(self, w: np.ndarray) -> List[np.ndarray]:
-        xv = self.w_obj - self.perp @ w
-        return [
-            smat(self.segment(xv, b), n)
-            for b, n in enumerate(self.base.block_dims)
-        ]
+        return self.base.unpack(self.w_obj - self.perp @ w)
 
 
 _REDUCTION_LOCK = threading.Lock()  # sweep cells may be solved on threads
@@ -266,13 +241,11 @@ def restricted_reduction(base: SdpProblem) -> _RestrictedReduction:
 def _conic_from_restricted(bs: BlockSdp, red: _RestrictedReduction) -> ConicProgram:
     ops = ProjectedRows(
         base_dims=bs.base.block_dims,
-        u_stacks=[ens.stack() for ens in bs.ensembles],
+        ut_stacks=[ens.transposed_stack() for ens in bs.ensembles],
         row_segments=red.row_segments,
     )
-    costs = [
-        sym(np.einsum("inr,nm,ims->irs", u, smat(red.segment(red.w_obj, b), n), u, optimize=True))
-        for b, (u, n) in enumerate(zip(ops.u_stacks, bs.base.block_dims))
-    ]
+    costs = [sym(restrict_congruence(ut, w))
+             for ut, w in zip(ops.ut_stacks, bs.base.unpack(red.w_obj))]
     return ConicProgram(ops=ops, rhs=red.rhs, block_costs=costs,
                         gap_offset=red.const, gap_flip=True)
 
@@ -393,7 +366,7 @@ def _restricted_solution(bs: BlockSdp, red: _RestrictedReduction, status: Status
         status=status,
         objective=objective,
         psd_blocks=_unstack(groups),
-        free_vars=red.recover_y(np.concatenate([svec(L) for L in lifts])),
+        free_vars=red.recover_y(bs.base.pack(lifts)),
         eq_multipliers=_plain_upper(moments),
         moment_matrices=moments,
     )
@@ -444,7 +417,7 @@ def kkt_residuals(problem: Union[SdpProblem, BlockSdp], solution: Solution) -> K
         y = solution.free_vars
         if problem.sense == "max":
             s_mats = solution.psd_blocks
-            x_mats = _mats_from_plain_upper(solution.eq_multipliers, problem.block_dims)
+            x_mats = _mats_from_plain_upper(solution.eq_multipliers, problem)
         else:
             x_mats = solution.psd_blocks
             s_mats = solution.dual_slacks or problem.dual_slack(y)
@@ -456,10 +429,10 @@ def kkt_residuals(problem: Union[SdpProblem, BlockSdp], solution: Solution) -> K
     lifts = lift_blocks(problem, solution.psd_blocks)
     x_mats = (
         solution.moment_matrices
-        or _mats_from_plain_upper(solution.eq_multipliers, base.block_dims)
+        or _mats_from_plain_upper(solution.eq_multipliers, base)
     )
-    projections = [np.swapaxes(u, 1, 2) @ x @ u
-                   for u, x in zip((ens.stack() for ens in problem.ensembles), x_mats)]
+    projections = [restrict_congruence(ens.transposed_stack(), x)
+                   for ens, x in zip(problem.ensembles, x_mats)]
     viol = _cone_violation(projections)
     return _pair_residuals(base, solution.free_vars, lifts, x_mats, viol)
 

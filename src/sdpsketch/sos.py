@@ -11,17 +11,22 @@ representative of the target polynomial and the A_j span the kernel of the
 coefficient-matching map (plus one matrix per free scalar such as the lower
 bound).  Restricting S to sums of projected blocks then restricts the SOS
 cone, and the multipliers of the matrix equation form the moment matrix.
+
+An SdpProblem stores its equality system once, as the svec matrix a_svec
+with one column per constraint.  The interior-point layouts, the consensus
+solver and the KKT replay all read that matrix; the per-constraint
+matrices are only unpacked for JSON output.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import SQRT2, nullspace, smat, svec_dim, triu_indices
+from ._linalg import SQRT2, nullspace, smat, svec, svec_dim, sym, triu_indices
 from .polynomial import (
     Basis,
     DegreeOverflowError,
@@ -67,38 +72,40 @@ class MomentMeta:
     rows: Dict[Monomial, List[Tuple[int, int, int]]]
 
 
-@dataclass(eq=False)
 class SdpProblem:
     """Canonical SDP pair data; see module docstring for both readings.
 
-    Problems compare by identity: a copy is a different problem.
+    The constraints are given as (matrices, rhs) pairs, one symmetric matrix
+    per block, and stored once, packed: column j of `a_svec` is svec(A_j)
+    with the blocks stacked, block b in rows offsets[b]:offsets[b + 1].
+    Problems are not changed after construction and compare by identity: a
+    copy is a different problem.
     """
 
-    block_dims: Tuple[int, ...]
-    cost_blocks: Tuple[np.ndarray, ...]
-    constraints: List[Tuple[Tuple[np.ndarray, ...], float]]
-    sense: str = "min"
-    obj_offset: float = 0.0
-    moment_meta: Optional[MomentMeta] = None
-    # The restricted dual's elimination data (solver.restricted_reduction),
-    # built on the first restriction and shared by all of them; not
-    # serialized.  Problems are not changed after construction.
-    reduction: Optional[object] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        self.block_dims = tuple(int(d) for d in self.block_dims)
-        self.cost_blocks = tuple(np.asarray(c, dtype=float) for c in self.cost_blocks)
-        for d, c in zip(self.block_dims, self.cost_blocks):
-            _check_symmetric(c, d, "cost")
-        checked = []
-        for mats, rhs in self.constraints:
-            mats = tuple(np.asarray(a, dtype=float) for a in mats)
-            for d, a in zip(self.block_dims, mats):
-                _check_symmetric(a, d, "constraint")
-            checked.append((mats, float(rhs)))
-        self.constraints = checked
+    def __init__(self, block_dims: Sequence[int], cost_blocks: Sequence[np.ndarray],
+                 constraints: Sequence[Tuple[Sequence[np.ndarray], float]],
+                 sense: str = "min", obj_offset: float = 0.0,
+                 moment_meta: Optional[MomentMeta] = None):
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+        self.block_dims = tuple(int(d) for d in block_dims)
+        self.cost_blocks = tuple(_symmetric(c, d, "cost")
+                                 for c, d in zip(cost_blocks, self.block_dims))
+        self.offsets = np.cumsum([0] + [svec_dim(d) for d in self.block_dims])
+        constraints = list(constraints)
+        self.a_svec = np.zeros((int(self.offsets[-1]), len(constraints)))
+        for j, (mats, _) in enumerate(constraints):
+            self.a_svec[:, j] = self.pack(
+                [_symmetric(a, d, "constraint") for a, d in zip(mats, self.block_dims)])
+        self.rhs = np.array([float(b) for _, b in constraints])
+        self.a_svec.flags.writeable = self.rhs.flags.writeable = False
+        self.sense = sense
+        self.obj_offset = obj_offset
+        self.moment_meta = moment_meta
+        # The restricted dual's elimination data (solver.restricted_reduction),
+        # built on the first restriction and shared by all of them; not
+        # serialized.
+        self.reduction = None
 
     def __getstate__(self):
         # Pickles and copies leave the reduction behind; it is rebuilt on use.
@@ -111,41 +118,33 @@ class SdpProblem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self.a_svec.shape[1]
 
     @property
-    def n(self) -> int:
-        """Largest cone dimension."""
-        return max(self.block_dims)
+    def constraints(self) -> List[Tuple[Tuple[np.ndarray, ...], float]]:
+        """The (matrices, rhs) pairs, unpacked from a_svec."""
+        return [(tuple(self.unpack(col)), float(b)) for col, b in zip(self.a_svec.T, self.rhs)]
 
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.array([b for _, b in self.constraints])
+    def pack(self, mats: Sequence[np.ndarray]) -> np.ndarray:
+        """svec of one symmetric matrix per block, stacked like a column of a_svec."""
+        return np.concatenate([svec(m) for m in mats])
 
-    def constraint_tensor(self, block: int) -> np.ndarray:
-        """Stack of A_{j, block} as an (m, n_b, n_b) array."""
-        d = self.block_dims[block]
-        if not self.constraints:
-            return np.zeros((0, d, d))
-        return np.stack([mats[block] for mats, _ in self.constraints])
+    def unpack(self, vec: np.ndarray) -> List[np.ndarray]:
+        """The per-block symmetric matrices of a vector stacked like a column of a_svec."""
+        return [smat(seg, d) for seg, d in zip(self.segments(vec), self.block_dims)]
+
+    def segments(self, arr: np.ndarray) -> List[np.ndarray]:
+        """Per-block row ranges of an array whose rows are stacked like a_svec's."""
+        return [arr[lo:hi] for lo, hi in zip(self.offsets[:-1], self.offsets[1:])]
 
     # -- the two readings ----------------------------------------------
     def dual_slack(self, y: np.ndarray) -> List[np.ndarray]:
         """S_b = C_b - sum_j y_j A_{j,b}."""
-        out = []
-        for b in range(self.num_blocks):
-            s = self.cost_blocks[b].copy()
-            for yj, (mats, _) in zip(y, self.constraints):
-                if yj != 0.0:
-                    s -= yj * mats[b]
-            out.append(s)
-        return out
+        return [c - a for c, a in zip(self.cost_blocks, self.unpack(self.a_svec @ y))]
 
     def constraint_values(self, x_blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.array(
-            [sum(float(np.tensordot(a, x)) for a, x in zip(mats, x_blocks))
-             for mats, _ in self.constraints]
-        )
+        """<A_j, X> per constraint; the X blocks need not be symmetric."""
+        return self.a_svec.T @ self.pack([sym(x) for x in x_blocks])
 
     def primal_cost(self, x_blocks: Sequence[np.ndarray]) -> float:
         return sum(float(np.tensordot(c, x)) for c, x in zip(self.cost_blocks, x_blocks))
@@ -206,13 +205,16 @@ class SdpProblem:
         return SdpProblem.from_json_dict(json.loads(text))
 
 
-def _check_symmetric(mat: np.ndarray, dim: int, what: str):
+def _symmetric(mat, dim: int, what: str) -> np.ndarray:
+    """mat as a float array, checked to be a symmetric dim x dim matrix."""
+    mat = np.asarray(mat, dtype=float)
     if mat.shape != (dim, dim):
         raise ValueError(f"{what} matrix has shape {mat.shape}, expected ({dim}, {dim})")
     skew = np.abs(mat - mat.T).max(initial=0.0)
     scale = max(1.0, np.abs(mat).max(initial=0.0))
     if skew > SYMMETRY_TOL * scale * 10:
         raise ValueError(f"{what} matrix is not symmetric (skew {skew:.3e})")
+    return mat
 
 
 def _mat_coords(mat: np.ndarray) -> dict:
@@ -232,6 +234,9 @@ def _mat_from_coords(data: dict, n: int) -> np.ndarray:
     ii = np.asarray(data["i"], dtype=int)
     jj = np.asarray(data["j"], dtype=int)
     vv = np.asarray(data["v"], dtype=float)
+    for idx in (ii, jj):
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError(f"matrix coordinate outside 0..{n - 1} of a {n}x{n} block")
     out[ii, jj] = vv
     out[jj, ii] = vv
     return out

@@ -122,6 +122,19 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json_dict({"surprise": 1})
 
+    @pytest.mark.parametrize("bad", [{"ranks": [2, 0]}, {"ranks": []}, {"samples": 0},
+                                     {"jobs": 0}])
+    def test_counts_below_one_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json_dict(bad)
+
+    def test_config_json_lists_every_field_in_order(self):
+        from dataclasses import fields
+
+        data = poc_config("somewhere").to_json_dict()
+        assert list(data) == [f.name for f in fields(ExperimentConfig)]
+        assert data["ranks"] == [1, 2, 3] and data["seeds"] == [0, 1]
+
 
 class TestCliSolve:
     def write(self, tmp_path, problem) -> Path:
@@ -153,6 +166,47 @@ class TestCliSolve:
             cli_main(["solve", str(bad)])
         msg = str(err.value)
         assert "line" in msg and "column" in msg
+
+    def test_certified_results_write_strict_json(self, tmp_path, rng):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        for prob, code in ((infeasible_sdp(rng, 3, 2), 2), (unbounded_sdp(rng, 3, 2), 3)):
+            out = tmp_path / "solution.json"
+            assert cli_main(["solve", str(self.write(tmp_path, prob)), "--out", str(out)]) == code
+            data = json.loads(out.read_text(), parse_constant=reject)
+            assert data["objective"] is None
+
+    @staticmethod
+    def one_line_error(argv) -> str:
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv)
+        msg = err.value.code  # a string code exits with status 1
+        assert isinstance(msg, str) and msg.startswith("error:") and "\n" not in msg
+        return msg
+
+    def test_missing_file_is_reported(self, tmp_path):
+        msg = self.one_line_error(["solve", str(tmp_path / "missing.json")])
+        assert "missing.json" in msg
+
+    def test_coordinate_outside_block_is_reported(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "type": "sdp_problem", "block_dims": [2],
+            "cost_blocks": [{"i": [0], "j": [5], "v": [1.0]}], "constraints": [],
+        }))
+        assert "outside" in self.one_line_error(["solve", str(path)])
+
+    def test_top_level_array_is_reported(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("[1, 2, 3]")
+        assert "does not contain" in self.one_line_error(["solve", str(path)])
+
+    def test_sweep_rank_zero_is_reported(self, tmp_path):
+        msg = self.one_line_error(["sweep", "--kind", "poc", "--ranks", "0",
+                                   "--out", str(tmp_path / "s")])
+        assert "ranks" in msg
+        assert not (tmp_path / "s").exists()
 
     def test_consensus_mode_rejects_sdp_problem(self, tmp_path, rng):
         path = self.write(tmp_path, random_feasible_sdp(rng, 4, 2))
@@ -203,3 +257,11 @@ class TestCliTopLevel:
         )
         assert proc.returncode == 0
         assert "Optimal" in proc.stderr
+
+    def test_module_entry_point_bad_input_exit_code(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdpsketch.cli", "solve", str(tmp_path / "missing.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

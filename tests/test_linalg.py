@@ -6,7 +6,6 @@ from sdpsketch._linalg import (
     aggregate_congruence_operator,
     max_step_psd,
     nullspace,
-    projection_hessian,
     psd_project,
     smat,
     svec,
@@ -91,16 +90,11 @@ def test_aggregate_congruence_matches_brute_force():
     n, N = 4, 3
     ps = np.stack([random_sym(rng, n) for _ in range(N)])
     qs = np.stack([random_sym(rng, n) for _ in range(N)])
-    K = aggregate_congruence_operator(ps, qs)
-    for _ in range(10):
-        b1, b2 = random_sym(rng, n), random_sym(rng, n)
-        want = sum(np.trace(b1 @ ps[i] @ b2 @ qs[i]) for i in range(N))
-        got = svec(b1) @ K @ svec(b2)
-        assert np.isclose(got, want, atol=1e-10)
-
-
-def test_projection_hessian_matches_aggregate_congruence():
-    rng = np.random.default_rng(19)
-    u = rng.standard_normal((6, 5, 2))
-    p = u @ u.transpose(0, 2, 1)
-    assert np.allclose(projection_hessian(u), aggregate_congruence_operator(p, p), atol=1e-12)
+    # Q is P takes the one-product path (consensus's projection Hessian).
+    for p_stack, q_stack in ((ps, qs), (ps, ps)):
+        K = aggregate_congruence_operator(p_stack, q_stack)
+        for _ in range(10):
+            b1, b2 = random_sym(rng, n), random_sym(rng, n)
+            want = sum(np.trace(b1 @ p_stack[i] @ b2 @ q_stack[i]) for i in range(N))
+            got = svec(b1) @ K @ svec(b2)
+            assert np.isclose(got, want, atol=1e-10)

@@ -9,7 +9,15 @@ from sdpsketch.instances import (
 )
 from sdpsketch.polynomial import monomial_basis, parse_polynomial
 from sdpsketch.sketch import ensembles_for_problem, restrict_dual
-from sdpsketch.solver import SolverConfig, Solution, Status, kkt_residuals, solve
+from sdpsketch.solver import (
+    SolverConfig,
+    Solution,
+    Status,
+    _conic_from_pair,
+    kkt_residuals,
+    restricted_reduction,
+    solve,
+)
 from sdpsketch.sos import SdpProblem, compile_pop
 
 
@@ -56,6 +64,32 @@ class TestBasics:
             assert sol.status == Status.Optimal
             for b in sol.psd_blocks:
                 assert np.linalg.eigvalsh(b)[0] >= -10 * 1e-8
+
+
+class TestPairRows:
+    def test_dense_schur_matches_trace_formula(self, rng):
+        prob = random_feasible_sdp(rng, 5, 4)
+        ops = _conic_from_pair(prob).ops
+        g = rng.standard_normal((5, 5))
+        x = g @ g.T + np.eye(5)
+        zinv = np.linalg.inv(x + np.diag(rng.uniform(0.5, 1.5, 5)))
+        mats = [a[0] for a, _ in prob.constraints]
+        want = np.array([[np.trace(aj @ x @ ak @ zinv) for ak in mats] for aj in mats])
+        assert np.allclose(ops.schur([x[None]], [zinv[None]]), want, atol=1e-10)
+
+    def test_dense_rows_apply_and_adjoint_match_constraints(self, rng):
+        prob = random_feasible_sdp(rng, 5, 4)
+        ops = _conic_from_pair(prob).ops
+        x = rng.standard_normal((5, 5))
+        x = x + x.T
+        assert np.allclose(ops.apply([x[None]]), prob.constraint_values([x]), atol=1e-12)
+        w = rng.standard_normal(4)
+        want = sum(wj * a[0] for wj, (a, _) in zip(w, prob.constraints))
+        assert np.allclose(ops.adjoint_blocks(w)[0][0], want, atol=1e-12)
+
+    def test_reduction_reads_the_problems_matrix(self, rng):
+        prob = random_feasible_sdp(rng, 4, 3)
+        assert restricted_reduction(prob).a_mat is prob.a_svec
 
 
 class TestClassification:

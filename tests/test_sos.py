@@ -195,7 +195,59 @@ class TestSerialization:
         assert restrict_dual(prob, ens) == restrict_dual(prob, ens)
         assert restrict_dual(prob, ens) != restrict_dual(copy, ens)
 
+    def test_json_round_trip_keeps_a_svec_bit_for_bit(self):
+        # The bench audit compares a CLI re-solve of a written cell with the
+        # sweep's own value using !=, so the packed matrix must survive JSON.
+        from sdpsketch.control import compile_poc
+        from sdpsketch.instances import default_poc_problem, default_pop_problem
+
+        for prob in (default_pop_problem(), compile_poc(default_poc_problem())):
+            back = SdpProblem.from_json(prob.to_json())
+            assert np.array_equal(back.a_svec, prob.a_svec)
+            assert np.array_equal(back.rhs, prob.rhs)
+
     def test_symmetry_validation(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             SdpProblem(block_dims=(2,), cost_blocks=(bad,), constraints=[])
+
+
+class TestPackedConstraints:
+    @staticmethod
+    def random_problem(rng, dims=(4, 3), m=5):
+        def rsym(n):
+            a = rng.standard_normal((n, n))
+            return a + a.T
+        return SdpProblem(
+            block_dims=dims,
+            cost_blocks=tuple(rsym(n) for n in dims),
+            constraints=[(tuple(rsym(n) for n in dims), float(rng.standard_normal()))
+                         for _ in range(m)],
+        )
+
+    def test_dual_slack_matches_per_matrix_loop(self, rng):
+        prob = self.random_problem(rng)
+        y = rng.standard_normal(prob.num_constraints)
+        for b, got in enumerate(prob.dual_slack(y)):
+            want = prob.cost_blocks[b] - sum(yj * mats[b] for yj, (mats, _) in
+                                             zip(y, prob.constraints))
+            assert np.allclose(got, want, atol=1e-12)
+
+    def test_constraint_values_match_per_matrix_loop(self, rng):
+        prob = self.random_problem(rng)
+        xs = [rng.standard_normal((n, n)) for n in prob.block_dims]  # not symmetric
+        want = [sum(np.sum(a * x) for a, x in zip(mats, xs)) for mats, _ in prob.constraints]
+        assert np.allclose(prob.constraint_values(xs), want, atol=1e-12)
+
+    def test_constraints_unpack_the_packed_matrix(self, rng):
+        prob = self.random_problem(rng)
+        assert prob.a_svec.shape == (10 + 6, 5)
+        assert not prob.a_svec.flags.writeable
+        for j, (mats, rhs) in enumerate(prob.constraints):
+            assert rhs == prob.rhs[j]
+            assert np.array_equal(prob.pack(mats), prob.a_svec[:, j])
+
+    def test_wrong_number_of_constraint_matrices_is_rejected(self):
+        with pytest.raises(ValueError):
+            SdpProblem(block_dims=(2, 2), cost_blocks=(np.eye(2), np.eye(2)),
+                       constraints=[((np.eye(2),), 1.0)])
