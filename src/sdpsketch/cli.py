@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 
 from .experiments import ExperimentConfig, run_density, run_rank_sweep
-from .sketch import BlockSdp, sample_ensemble, restrict_dual
+from .sketch import BlockSdp, load_problem, restrict_dual, sample_ensemble
 from .solver import SolverConfig, Status, solve
 from .sos import SdpProblem
 
@@ -55,7 +55,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    data = _read_json(args.config) if args.config else {}
+    data = _read(args.config) if args.config else {}
     try:
         merged = ExperimentConfig.from_json_dict(data).to_json_dict()
         for f in fields(ExperimentConfig):
@@ -91,39 +91,31 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path: str):
+def _json_file(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read(path: str, load=_json_file):
+    """load(path), with whatever is wrong with the file (or a file it
+    references) reported as one error line."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return load(path)
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from None
+        raise SystemExit(f"error: cannot read {exc.filename or path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SystemExit(
             f"error: {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from None
-    except ValueError as exc:  # not text
+    except UnicodeDecodeError as exc:  # not text
         raise SystemExit(f"error: cannot read {path}: {exc}") from None
-
-
-def _load_problem_file(path: str):
-    data = _read_json(path)
-    kind = data.get("type") if isinstance(data, dict) else None
-    if kind == "block_sdp":
-        loader = BlockSdp.from_json_dict
-    elif kind == "sdp_problem" or (isinstance(data, dict) and "block_dims" in data):
-        loader = SdpProblem.from_json_dict
-    else:
-        raise SystemExit(f"error: {path} does not contain an SDP or block-SDP document")
-    try:
-        return loader(data)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise SystemExit(f"error: {path} is not a valid problem document: {what}") from None
+    except ValueError as exc:  # the loader's message names the file
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _cmd_solve(args) -> int:
-    problem = _load_problem_file(args.problem_file)
+    problem = _read(args.problem_file, load_problem)
     if args.mode == "consensus" and not isinstance(problem, BlockSdp):
         raise SystemExit(
             f"error: {args.problem_file} holds an sdp_problem; consensus mode solves "

@@ -5,13 +5,20 @@ blocks sum_i U_i S_i U_i' (an inner approximation: maximization value can
 only drop), project_primal imposes PSD only on U_i' X U_i (a relaxation).
 The two are conic duals of each other, so the solver solves a projected
 primal as its restricted dual and reads X off that problem's multipliers.
+
+A BlockSdp document either embeds its base problem ("base") or names a
+base file next to it ("base_ref", checked against "base_sha256"); many
+restrictions of one base then share one file.  load_problem reads either
+kind of problem file and resolves a reference relative to the file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -191,21 +198,32 @@ class BlockSdp:
             out.extend([ens.r] * ens.N)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "block_sdp",
-            "kind": self.kind,
-            "base": self.base.to_json_dict(),
-            "ensembles": [e.to_json_dict() for e in self.ensembles],
-        }
+    def to_json_dict(self, base_ref: Optional[str] = None,
+                     base_sha256: Optional[str] = None) -> dict:
+        """The self-contained document, or with base_ref the reference form:
+        the base is the file base_ref, relative to the document's own file,
+        whose bytes hash to base_sha256."""
+        data = {"type": "block_sdp", "kind": self.kind}
+        if base_ref is None:
+            data["base"] = self.base.to_json_dict()
+        else:
+            data.update(base_ref=base_ref, base_sha256=base_sha256)
+        data["ensembles"] = [e.to_json_dict() for e in self.ensembles]
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     @staticmethod
-    def from_json_dict(data: dict) -> "BlockSdp":
+    def from_json_dict(data: dict, directory: Optional[Path] = None) -> "BlockSdp":
+        """Reads either form; a base_ref resolves against `directory`, the
+        folder of the file the document was read from."""
+        if "base" in data:
+            base = SdpProblem.from_json_dict(data["base"])
+        else:
+            base = _referenced_base(data["base_ref"], data["base_sha256"], directory)
         return BlockSdp(
-            base=SdpProblem.from_json_dict(data["base"]),
+            base=base,
             ensembles=[SubspaceEnsemble.from_json_dict(e) for e in data["ensembles"]],
             kind=data.get("kind", "restricted_dual"),
         )
@@ -213,6 +231,42 @@ class BlockSdp:
     @staticmethod
     def from_json(text: str) -> "BlockSdp":
         return BlockSdp.from_json_dict(json.loads(text))
+
+
+def _referenced_base(ref: str, sha256: str, directory: Optional[Path]) -> SdpProblem:
+    if directory is None:
+        raise ValueError(
+            f"the block_sdp document names its base problem {ref!r} relative to its own "
+            "file; read it with load_problem(path) so that the reference can be resolved")
+    path = Path(directory) / ref
+    raw = path.read_bytes()
+    if hashlib.sha256(raw).hexdigest() != sha256:
+        raise ValueError(f"{path} does not match the document's base_sha256: "
+                         "the base file changed after the document was written")
+    return SdpProblem.from_json_dict(json.loads(raw))
+
+
+def load_problem(path) -> Union[SdpProblem, BlockSdp]:
+    """The SdpProblem or BlockSdp in a JSON file; a block_sdp's base_ref is
+    resolved relative to the file and checked against its base_sha256.
+
+    A file that cannot be read or parsed raises OSError or
+    json.JSONDecodeError; a document that is not a valid problem raises
+    ValueError naming the file.
+    """
+    path = Path(path)
+    with open(path) as fh:
+        data = json.load(fh)
+    kind = data.get("type") if isinstance(data, dict) else None
+    try:
+        if kind == "block_sdp":
+            return BlockSdp.from_json_dict(data, path.parent)
+        if kind == "sdp_problem" or (isinstance(data, dict) and "block_dims" in data):
+            return SdpProblem.from_json_dict(data)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"{path} is not a valid problem document: {what}") from exc
+    raise ValueError(f"{path} does not contain an SDP or block-SDP document")
 
 
 def restrict_dual(base: SdpProblem, ensembles) -> BlockSdp:

@@ -1,15 +1,19 @@
+import hashlib
 import json
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sdpsketch import experiments
 from sdpsketch.cli import main as cli_main
 from sdpsketch.experiments import ExperimentConfig, run_density, run_rank_sweep
 from sdpsketch.instances import infeasible_sdp, random_feasible_sdp, unbounded_sdp
-from sdpsketch.sketch import BlockSdp
+from sdpsketch.sketch import BlockSdp, load_problem
 from sdpsketch.solver import solve
 
 
@@ -64,13 +68,55 @@ class TestSweep:
         for cell in res.cells:
             path = out / "problems" / f"rank{cell.rank:03d}_seed{cell.seed}.json"
             with open(path) as fh:
-                bs = BlockSdp.from_json_dict(json.load(fh))
+                bs = load_problem(path)
             again = solve(bs)
             assert again.status.value == cell.status
             if np.isfinite(cell.objective):
                 assert abs(again.objective - cell.objective) <= 1e-7
             else:
                 assert again.objective == cell.objective
+
+    def test_problems_hold_one_base_and_small_references(self, tmp_path):
+        res = run_rank_sweep(poc_config(tmp_path / "a"))
+        problems = tmp_path / "a" / "problems"
+        names = sorted(p.name for p in problems.iterdir())
+        assert names == ["base.json"] + sorted(
+            f"rank{c.rank:03d}_seed{c.seed}.json" for c in res.cells)
+        digest = hashlib.sha256((problems / "base.json").read_bytes()).hexdigest()
+        for name in names[1:]:
+            path = problems / name
+            assert path.stat().st_size < 2048
+            doc = json.loads(path.read_text())
+            assert "base" not in doc
+            assert doc["base_ref"] == "base.json" and doc["base_sha256"] == digest
+
+    def test_copied_sweep_resolves_through_cli(self, tmp_path):
+        res = run_rank_sweep(poc_config(tmp_path / "a"))
+        moved = tmp_path / "elsewhere" / "b"
+        shutil.copytree(tmp_path / "a", moved)
+        shutil.rmtree(tmp_path / "a")
+        for cell in res.cells:
+            path = moved / "problems" / f"rank{cell.rank:03d}_seed{cell.seed}.json"
+            out = tmp_path / "solution.json"
+            cli_main(["solve", str(path), "--out", str(out)])
+            sol = json.loads(out.read_text())
+            assert sol["status"] == cell.status
+            if np.isfinite(cell.objective):
+                assert sol["objective"] == cell.objective
+            else:
+                assert sol["objective"] is None
+
+    def test_self_contained_document_still_loads(self, tmp_path):
+        cfg = poc_config(tmp_path / "a", ranks=(3,), seeds=(0,))
+        res = run_rank_sweep(cfg)
+        bs = load_problem(tmp_path / "a" / "problems" / "rank003_seed0.json")
+        path = tmp_path / "inline" / "cell.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(bs.to_json_dict()))
+        assert "base" in json.loads(path.read_text())
+        again = solve(load_problem(path))
+        assert again.status.value == res.cell(3, 0).status
+        assert again.objective == res.cell(3, 0).objective
 
     def test_timing_file_has_all_cells(self, tmp_path):
         res = run_rank_sweep(poc_config(tmp_path / "a"))
@@ -92,6 +138,26 @@ class TestSweep:
         cell = res.cell(3, 0)
         assert cell.status == "Optimal"
         assert abs(cell.objective - res.reference.objective) <= 1e-4
+
+
+    def test_consensus_jobs_become_workers(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_solve(problem, config=None):
+            seen.append((config.workers, threading.current_thread() is threading.main_thread()))
+            return solve(problem, config)
+
+        monkeypatch.setattr(experiments, "solve", recording_solve)
+        tables = []
+        for jobs in (1, 2):
+            cfg = poc_config(tmp_path / f"j{jobs}", ranks=(2, 3), seeds=(0,), samples=10,
+                             mode="consensus", jobs=jobs)
+            assert cfg.solver_config().workers == jobs
+            tables.append(Path(run_rank_sweep(cfg).table_path).read_bytes())
+        assert tables[0] == tables[1]
+        # the reference is an IPM solve; the two cells of each sweep follow it
+        assert [s for s in seen if s[0] != 1] == [(2, True), (2, True)]
+        assert all(on_main for _, on_main in seen)
 
 
 class TestDensity:
@@ -196,6 +262,29 @@ class TestCliSolve:
             "cost_blocks": [{"i": [0], "j": [5], "v": [1.0]}], "constraints": [],
         }))
         assert "outside" in self.one_line_error(["solve", str(path)])
+
+    @staticmethod
+    def sweep_cell(tmp_path) -> Path:
+        run_rank_sweep(poc_config(tmp_path / "s", ranks=(2,), seeds=(0,), samples=5))
+        return tmp_path / "s" / "problems" / "rank002_seed0.json"
+
+    def test_missing_base_is_reported(self, tmp_path):
+        cell = self.sweep_cell(tmp_path)
+        (cell.parent / "base.json").unlink()
+        assert "base.json" in self.one_line_error(["solve", str(cell)])
+
+    def test_tampered_base_is_reported(self, tmp_path):
+        cell = self.sweep_cell(tmp_path)
+        base = cell.parent / "base.json"
+        data = json.loads(base.read_text())
+        data["obj_offset"] += 1.0  # still a valid problem, just not the one referenced
+        base.write_text(json.dumps(data))
+        assert "base_sha256" in self.one_line_error(["solve", str(cell)])
+
+    def test_reference_without_directory_raises(self, tmp_path):
+        doc = json.loads(self.sweep_cell(tmp_path).read_text())
+        with pytest.raises(ValueError, match="load_problem"):
+            BlockSdp.from_json_dict(doc)
 
     def test_top_level_array_is_reported(self, tmp_path):
         path = tmp_path / "p.json"
