@@ -60,14 +60,14 @@ def psd_project(mat: np.ndarray) -> np.ndarray:
     return (v * wc) @ v.T
 
 
-def max_step_psd(mat: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with mat + t*direction PSD, for mat positive definite.
+def max_step_psd(linv: np.ndarray, direction: np.ndarray) -> float:
+    """Largest t with L L' + t*direction PSD, given linv = L^-1 for the lower
+    Cholesky factor L of a positive definite matrix: -1/lambda_min(L^-1 D L^-T).
 
     On stacks, the smallest such t over the matrices.  Returns inf when no
     direction ever leaves the cone.
     """
-    L = np.linalg.cholesky(mat)
-    W = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, direction), -1, -2))
+    W = linv @ direction @ np.swapaxes(linv, -1, -2)
     lam = np.linalg.eigvalsh(sym(W))[..., 0].min()
     if lam >= 0.0:
         return np.inf

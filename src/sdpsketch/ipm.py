@@ -7,8 +7,10 @@ embedding supplies certificates when the solved problem
 tau/kappa indicator gates which branch is reported.
 
 X, Z, the directions and the returned blocks are lists with one (N, r, r)
-array per block group of the row system (see conic), so every per-block
-step (inverse, Cholesky check, step length) is one batched call per group.
+array per block group of the row system (see conic).  X and Z are factored
+once per iterate, by the Cholesky test that accepts the step, on each
+group's (2, N, r, r) stack of X and Z; one batched inverse of the factors L
+gives Z^-1 = L_Z^-T L_Z^-1 and every step length, -1/lambda_min(L^-1 dS L^-T).
 
 Embedding variables (X, w, Z, tau, kappa) satisfy at a solution:
     rows(X) - g tau           = 0
@@ -54,16 +56,9 @@ class ConicResult:
     trace: list = field(default_factory=list)
 
 
-def _chol_ok(mat) -> bool:
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _max_alpha(X, Z, dX, dZ, tau, kappa, dtau, dkappa, fraction) -> float:
-    alpha = min((max_step_psd(v, dv) for v, dv in zip(X + Z, dX + dZ)), default=np.inf)
+def _max_alpha(linvs, dX, dZ, tau, kappa, dtau, dkappa, fraction) -> float:
+    alpha = min((max_step_psd(li, np.stack((dx, dz))) for li, dx, dz in zip(linvs, dX, dZ)),
+                default=np.inf)
     if dtau < 0:
         alpha = min(alpha, tau / (-dtau))
     if dkappa < 0:
@@ -91,6 +86,8 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
     w = np.zeros(m)
     tau, kappa = 1.0, 1.0
     nu = sum(n * r for n, r in ops.groups) + 1.0
+    # Lower Cholesky factors of each group's X and Z, stacked (2, N, r, r).
+    factors = [np.linalg.cholesky(np.stack((x, z))) for x, z in zip(X, Z)]
 
     def cost_of(xb) -> float:
         return sum(float(np.vdot(db, x)) for db, x in zip(D, xb))
@@ -158,14 +155,14 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
                 certificate = {"x_blocks": xn}
                 break
 
-        if not all(_chol_ok(z) for z in Z) or not all(_chol_ok(x) for x in X):
+        try:  # X or Z can pass Cholesky and still be singular in rounding
+            linvs = [np.linalg.inv(f) for f in factors]
+            if not all(np.isfinite(li).all() for li in linvs):
+                raise np.linalg.LinAlgError("non-finite inverse")
+        except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
-        try:
-            zinvs = [sym(np.linalg.solve(z, e)) for z, e in zip(Z, eyes)]
-        except np.linalg.LinAlgError:  # Z passed Cholesky yet is singular in rounding
-            status = NUMERICAL_FAILURE
-            break
+        zinvs = [sym(np.swapaxes(li[1], -1, -2) @ li[1]) for li in linvs]
 
         M = ops.schur(X, zinvs)
 
@@ -238,7 +235,7 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
 
         zero_rho = [np.zeros(e.shape) for e in eyes]
         dXa, dwa, dZa, dtaua, dkappaa = newton_pass(zero_rho, 0.0)
-        alpha_a = _max_alpha(X, Z, dXa, dZa, tau, kappa, dtaua, dkappaa, 1.0)
+        alpha_a = _max_alpha(linvs, dXa, dZa, tau, kappa, dtaua, dkappaa, 1.0)
         mu_aff = (
             sum(
                 float(np.vdot(x + alpha_a * dx, z + alpha_a * dz))
@@ -252,18 +249,16 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         rho_tk = sigma * mu - dtaua * dkappaa
         dX, dw, dZ, dtau, dkappa = newton_pass(rho_blocks, rho_tk)
 
-        alpha = _max_alpha(X, Z, dX, dZ, tau, kappa, dtau, dkappa, STEP_FRACTION)
+        alpha = _max_alpha(linvs, dX, dZ, tau, kappa, dtau, dkappa, STEP_FRACTION)
         for _ in range(40):
-            if alpha <= 0:
-                break
-            ok = (
-                tau + alpha * dtau > 0
-                and kappa + alpha * dkappa > 0
-                and all(_chol_ok(sym(x + alpha * dx)) for x, dx in zip(X, dX))
-                and all(_chol_ok(sym(z + alpha * dz)) for z, dz in zip(Z, dZ))
-            )
-            if ok:
-                break
+            if tau + alpha * dtau > 0 and kappa + alpha * dkappa > 0:
+                step = [sym(np.stack((x + alpha * dx, z + alpha * dz)))
+                        for x, dx, z, dz in zip(X, dX, Z, dZ)]
+                try:
+                    factors = [np.linalg.cholesky(s) for s in step]
+                    break
+                except np.linalg.LinAlgError:
+                    pass
             alpha *= 0.8
         else:
             status = NUMERICAL_FAILURE
@@ -277,8 +272,8 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         else:
             stalled = 0
 
-        X = [sym(x + alpha * dx) for x, dx in zip(X, dX)]
-        Z = [sym(z + alpha * dz) for z, dz in zip(Z, dZ)]
+        X = [s[0] for s in step]
+        Z = [s[1] for s in step]
         w = w + alpha * dw
         tau += alpha * dtau
         kappa += alpha * dkappa

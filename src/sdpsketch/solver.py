@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from ._blas import limit_blas_threads
 from ._linalg import restrict_congruence, sym, triu_indices
 from .conic import ConicProgram, DenseRows, ProjectedRows
 from .ipm import (
@@ -324,8 +325,12 @@ def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> So
 
 
 def _solve_conic(prog: ConicProgram, config: SolverConfig) -> ConicResult:
-    return solve_conic(prog, config.tolerance, config.max_iterations,
-                       config.keep_trace or config.trace_path is not None)
+    # An iteration is many small matrix calls, which more BLAS threads slow
+    # down on a few shared cores: the default POP pair takes 1.1 s at two
+    # threads and 0.5 s at one on a 2-core host.
+    with limit_blas_threads(1):
+        return solve_conic(prog, config.tolerance, config.max_iterations,
+                           config.keep_trace or config.trace_path is not None)
 
 
 def _solve_pair(problem: SdpProblem, config: SolverConfig) -> Solution:

@@ -1,4 +1,5 @@
 import numpy as np
+from numpy.linalg import cholesky, inv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ def test_max_step_psd_matches_bisection():
         base = random_sym(rng, n)
         m = base @ base.T + 0.1 * np.eye(n)
         d = random_sym(rng, n)
-        t = max_step_psd(m, d)
+        t = max_step_psd(inv(cholesky(m)), d)
         if np.isinf(t):
             assert np.linalg.eigvalsh(m + 1e3 * d)[0] >= -1e-9
         else:
@@ -52,15 +53,27 @@ def test_max_step_psd_on_a_stack_is_the_smallest_step():
             mats.append(g @ g.T + 0.1 * np.eye(n))
             d = random_sym(rng, n)
             dirs.append(d @ d if rng.random() < 0.3 else d)  # some never leave the cone
-        steps = [max_step_psd(m, d) for m, d in zip(mats, dirs)]
-        assert max_step_psd(np.stack(mats), np.stack(dirs)) == min(steps)
+        steps = [max_step_psd(inv(cholesky(m)), d) for m, d in zip(mats, dirs)]
+        assert max_step_psd(inv(cholesky(np.stack(mats))), np.stack(dirs)) == min(steps)
 
 
 def test_max_step_psd_on_a_stack_is_inf_when_every_step_is():
     rng = np.random.default_rng(8)
     mats = np.stack([np.eye(3) * (k + 1) for k in range(4)])
     dirs = np.stack([g @ g.T for g in rng.standard_normal((4, 3, 3))])
-    assert max_step_psd(mats, dirs) == np.inf
+    assert max_step_psd(inv(cholesky(mats)), dirs) == np.inf
+
+
+def test_inverse_from_cholesky_factor_matches_solve():
+    # Z^-1 = sym(L^-T L^-1) for Z = L L', as the interior-point solver forms it.
+    rng = np.random.default_rng(10)
+    for n, count in ((1, 3), (4, 6), (9, 5), (25, 4)):
+        g = rng.standard_normal((count, n, n))
+        z = g @ np.swapaxes(g, -1, -2) + 0.1 * np.eye(n)
+        linv = inv(cholesky(z))
+        got = sym(np.swapaxes(linv, -1, -2) @ linv)
+        want = np.linalg.solve(z, np.broadcast_to(np.eye(n), z.shape))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_sym_on_a_stack_matches_each_matrix():

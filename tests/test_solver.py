@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sdpsketch.control import compile_poc
 from sdpsketch.instances import (
@@ -7,6 +8,7 @@ from sdpsketch.instances import (
     random_feasible_sdp,
     unbounded_sdp,
 )
+from sdpsketch.ipm import OPTIMAL, solve_conic
 from sdpsketch.polynomial import monomial_basis, parse_polynomial
 from sdpsketch.sketch import ensembles_for_problem, restrict_dual
 from sdpsketch.solver import (
@@ -14,6 +16,7 @@ from sdpsketch.solver import (
     Solution,
     Status,
     _conic_from_pair,
+    _conic_from_restricted,
     kkt_residuals,
     restricted_reduction,
     solve,
@@ -90,6 +93,26 @@ class TestPairRows:
     def test_reduction_reads_the_problems_matrix(self, rng):
         prob = random_feasible_sdp(rng, 4, 3)
         assert restricted_reduction(prob).a_mat is prob.a_svec
+
+
+class TestFactorReuse:
+    def test_x_and_z_are_factored_once_per_iterate(self, monkeypatch):
+        # One Cholesky factor of X and Z per iterate serves Z^-1 and every
+        # step length; no general solve remains inside the IPM.
+        prob = compile_poc(default_poc_problem())
+        prog = _conic_from_restricted(
+            restrict_dual(prob, ensembles_for_problem(prob, 3, 30, 0)), restricted_reduction(prob))
+        calls = {"solve": 0, "cholesky": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        res = solve_conic(prog)
+        assert res.status == OPTIMAL
+        assert calls["solve"] == 0
+        assert 0 < calls["cholesky"] <= len(prog.ops.groups) * (2 * res.iterations + 1)
 
 
 class TestClassification:
@@ -190,25 +213,45 @@ class TestScaling:
 
 
 class TestRobustness:
-    def test_singular_z_inverse_ends_the_solve(self, rng, monkeypatch):
-        # Z can pass its Cholesky check and still be singular in rounding, so
-        # that inverting it raises.  Force that from the third inverse on.
-        prob = random_feasible_sdp(rng, 5, 3)
-        real_solve = np.linalg.solve
+    @staticmethod
+    def _solve_with_failing_factor_inverse(prob, monkeypatch, fail):
+        # Invert the Cholesky factors of X and Z normally, and from the third
+        # inverse on return fail(factor) instead.
+        real_inv = np.linalg.inv
         inverses = []
 
-        def solve_failing_on_inverse(a, b):
-            b = np.asarray(b)
-            if b.shape[-2:] == a.shape[-2:] and np.array_equal(
-                    b, np.broadcast_to(np.eye(b.shape[-1]), b.shape)):
+        def inv_failing_from_the_third(a):
+            a = np.asarray(a)
+            if np.array_equal(a, np.tril(a)):
                 inverses.append(a)
                 if len(inverses) >= 3:
-                    raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(a, b)
+                    return fail(a)
+            return real_inv(a)
 
-        monkeypatch.setattr(np.linalg, "solve", solve_failing_on_inverse)
+        monkeypatch.setattr(np.linalg, "inv", inv_failing_from_the_third)
         sol = solve(prob)
         assert len(inverses) >= 3
+        return sol
+
+    def test_singular_z_inverse_ends_the_solve(self, rng, monkeypatch):
+        # Z can pass its Cholesky check and still be singular in rounding, so
+        # that inverting its factor raises.  Force that from the third inverse on.
+        def raise_singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        prob = random_feasible_sdp(rng, 5, 3)
+        sol = self._solve_with_failing_factor_inverse(prob, monkeypatch, raise_singular)
+        assert sol.status == Status.NumericalFailure
+        assert sol.iterations == 3
+        assert sol.kkt is not None and np.isfinite(sol.objective)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_factor_inverse_ends_the_solve(self, rng, monkeypatch):
+        # A factor with a tiny pivot can invert without an error into inf or
+        # nan; the solve must stop there, not compute on with it.
+        prob = random_feasible_sdp(rng, 5, 3)
+        sol = self._solve_with_failing_factor_inverse(
+            prob, monkeypatch, lambda a: np.full(a.shape, np.inf))
         assert sol.status == Status.NumericalFailure
         assert sol.iterations == 3
         assert sol.kkt is not None and np.isfinite(sol.objective)
