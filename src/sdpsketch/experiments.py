@@ -7,6 +7,9 @@ to the table so each row can be re-derived with the solve command.  The base
 problem is written once, as problems/base.json; each cell file holds only
 its ensemble recipes and a reference to that file, "base_ref": "base.json"
 (resolved relative to the cell file), with the sha256 of its bytes.
+
+The cells of an IPM sweep are the tasks of one `_team.Team` of up to `jobs`
+processes, each at one BLAS thread, so the files do not depend on `jobs`.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._team import Arena, Team
 from .control import ControlProblem, compile_poc
 from .instances import (
     DEFAULT_SAMPLES,
@@ -33,7 +37,7 @@ from .instances import (
 from .measures import MomentRecoveryError, density_grid, extract_moments
 from .polynomial import Polynomial, monomial_basis
 from .sketch import BlockSdp, ensembles_for_problem, extend_ensembles, restrict_dual
-from .solver import SolverConfig, Solution, Status, solve
+from .solver import SolverConfig, Solution, Status, restricted_reduction, solve
 from .sos import SdpProblem, compile_pop
 
 
@@ -176,27 +180,26 @@ def run_rank_sweep(cfg: ExperimentConfig, write: bool = True) -> SweepResult:
     ref_seconds = time.perf_counter() - t0
 
     cells = _build_cells(base, cfg)
+    ipm = solver_cfg.mode != "consensus"
+    if ipm:  # built in the caller before the team forks: one SVD, alike at every `jobs`
+        restricted_reduction(base).row_segments
+    statuses = list(Status)
+    rows = Arena([(len(cells), 4)]).arrays[0]  # status, objective, iterations, wall
 
-    def run_cell(item):
-        rank, seed, bs = item
+    def run_cell(k: int):
         t = time.perf_counter()
-        sol = solve(bs, solver_cfg)
-        return SweepCell(
-            rank=rank,
-            seed=seed,
-            status=sol.status.value,
-            objective=sol.objective,
-            wall_seconds=time.perf_counter() - t,
-            iterations=sol.iterations,
-        )
+        sol = solve(cells[k][2], solver_cfg)
+        rows[k] = statuses.index(sol.status), sol.objective, sol.iterations, time.perf_counter() - t
 
-    # Consensus spends `jobs` on its worker pool, which forks only from the
-    # process's only Python thread, so its cells run one after another.
-    if cfg.jobs > 1 and solver_cfg.mode != "consensus":
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(item) for item in cells]
+    # Consensus spends `jobs` on each solve's worker pool, so its cells run in the caller.
+    tasks = [partial(run_cell, k) for k in range(len(cells))]
+    team = Team(cfg.jobs if ipm else 1, lambda command: tasks)
+    try:
+        team.run(0)
+    finally:
+        team.join()
+    results = [SweepCell(rank, seed, statuses[int(st)].value, float(obj), float(wall), int(it))
+               for (rank, seed, _), (st, obj, it, wall) in zip(cells, rows)]
 
     out = SweepResult(cells=results, reference=reference)
     if write:

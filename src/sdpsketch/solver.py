@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -224,19 +223,15 @@ class _RestrictedReduction:
         return self.base.unpack(self.w_obj - self.perp @ w)
 
 
-_REDUCTION_LOCK = threading.Lock()  # sweep cells may be solved on threads
-
-
 def restricted_reduction(base: SdpProblem) -> _RestrictedReduction:
     """The reduction of `base`, built on its first restriction and kept on it.
 
     Every sweep cell of one base problem then shares one svec constraint
-    matrix and one SVD.
+    matrix and one SVD; a sweep builds it before its helper processes fork.
     """
-    with _REDUCTION_LOCK:
-        if base.reduction is None:
-            base.reduction = _RestrictedReduction(base)
-        return base.reduction
+    if base.reduction is None:
+        base.reduction = _RestrictedReduction(base)
+    return base.reduction
 
 
 def _conic_from_restricted(bs: BlockSdp, red: _RestrictedReduction) -> ConicProgram:

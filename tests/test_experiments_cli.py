@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,11 +11,36 @@ import numpy as np
 import pytest
 
 from sdpsketch import experiments
+from sdpsketch._blas import _find_controls
 from sdpsketch.cli import main as cli_main
 from sdpsketch.experiments import ExperimentConfig, run_density, run_rank_sweep
 from sdpsketch.instances import infeasible_sdp, random_feasible_sdp, unbounded_sdp
 from sdpsketch.sketch import BlockSdp, load_problem
 from sdpsketch.solver import solve
+
+
+def _cpus():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+
+
+def _children_file():
+    return f"/proc/{os.getpid()}/task/{os.getpid()}/children"
+
+
+def _recording_solve(log, fail_rank=None):
+    """`solve` that logs the pid and Python thread count of every cell's
+    solve to a file (forked helpers share no list with the caller), and
+    raises on the cells of `fail_rank`."""
+
+    def recording_solve(problem, config=None):
+        if isinstance(problem, BlockSdp):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {threading.active_count()}\n")
+            if problem.ensembles[0].r == fail_rank:
+                raise ValueError(f"cell of rank {fail_rank} failed")
+        return solve(problem, config)
+
+    return recording_solve
 
 
 def poc_config(out_dir, **kw):
@@ -45,10 +71,43 @@ class TestSweep:
         r2 = run_rank_sweep(poc_config(tmp_path / "b"))
         assert Path(r1.table_path).read_bytes() == Path(r2.table_path).read_bytes()
 
-    def test_jobs_do_not_change_table(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [2, 4])  # 4 may exceed the host's CPUs
+    def test_jobs_do_not_change_table(self, tmp_path, jobs):
         r1 = run_rank_sweep(poc_config(tmp_path / "a", jobs=1))
-        r2 = run_rank_sweep(poc_config(tmp_path / "b", jobs=3))
+        r2 = run_rank_sweep(poc_config(tmp_path / "b", jobs=jobs))
         assert Path(r1.table_path).read_bytes() == Path(r2.table_path).read_bytes()
+        files = [sorted((tmp_path / side / "problems").iterdir()) for side in "ab"]
+        assert [f.name for f in files[0]] == [f.name for f in files[1]]
+        for f1, f2 in zip(*files):
+            assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+        def outcome(c):
+            return c.rank, c.seed, c.status, np.float64(c.objective).tobytes(), c.iterations
+
+        assert [outcome(c) for c in r1.cells] == [outcome(c) for c in r2.cells]
+
+    @pytest.mark.skipif(len(_cpus()) < 2, reason="needs two CPUs")
+    def test_cells_run_in_several_processes_without_threads(self, tmp_path, monkeypatch):
+        log = tmp_path / "solves.txt"
+        monkeypatch.setattr(experiments, "solve", _recording_solve(log))
+        run_rank_sweep(poc_config(tmp_path / "a", seeds=(0, 1, 2), jobs=2))
+        solves = [line.split() for line in log.read_text().splitlines()]
+        assert len(solves) == 9
+        assert len({pid for pid, _ in solves}) >= 2
+        assert all(threads == "1" for _, threads in solves)
+
+    @pytest.mark.skipif(not os.path.exists(_children_file()), reason="needs /proc children")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_cell_leaves_nothing_behind(self, tmp_path, monkeypatch, jobs):
+        mask = os.sched_getaffinity(0)
+        blas = [get() for _, get in _find_controls()]
+        monkeypatch.setattr(experiments, "solve", _recording_solve(tmp_path / "log", fail_rank=2))
+        # ValueError where the caller ran the cell, RuntimeError for a helper
+        with pytest.raises((ValueError, RuntimeError)):
+            run_rank_sweep(poc_config(tmp_path / "a", jobs=jobs))
+        assert Path(_children_file()).read_text().split() == []
+        assert os.sched_getaffinity(0) == mask
+        assert [get() for _, get in _find_controls()] == blas
 
     def test_restricted_never_beats_reference(self, tmp_path):
         res = run_rank_sweep(poc_config(tmp_path / "a"))
