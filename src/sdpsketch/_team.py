@@ -23,6 +23,7 @@ every task itself.  Every process runs its tasks with single-threaded BLAS.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import mmap
 import multiprocessing
@@ -232,8 +233,13 @@ class Team:
         try:
             with limit_blas_threads(1):
                 self._serve(command)
-        finally:
-            self._wait_helpers()
+        except BaseException:
+            # The caller's own failure is the one to report; a helper's
+            # has already printed its traceback.
+            with contextlib.suppress(RuntimeError):
+                self._wait_helpers()
+            raise
+        self._wait_helpers()
 
     def stop(self) -> None:
         """Tell the helpers to exit; later commands run in the caller alone."""

@@ -8,8 +8,11 @@ primal as its restricted dual and reads X off that problem's multipliers.
 
 A BlockSdp document either embeds its base problem ("base") or names a
 base file next to it ("base_ref", checked against "base_sha256"); many
-restrictions of one base then share one file.  load_problem reads either
-kind of problem file and resolves a reference relative to the file.
+restrictions of one base then share one file.  The base's constraint
+matrix is stored packed (see sos), so a base file of the default POP sweep
+decodes in milliseconds, to the bits it was written from.  load_problem
+reads either kind of problem file and resolves a reference relative to the
+file.
 """
 
 from __future__ import annotations
@@ -243,7 +246,17 @@ def _referenced_base(ref: str, sha256: str, directory: Optional[Path]) -> SdpPro
     if hashlib.sha256(raw).hexdigest() != sha256:
         raise ValueError(f"{path} does not match the document's base_sha256: "
                          "the base file changed after the document was written")
-    return SdpProblem.from_json_dict(json.loads(raw))
+    try:
+        return SdpProblem.from_json_dict(json.loads(raw))
+    except _INVALID as exc:
+        raise ValueError(f"base problem {path}: {_reason(exc)}") from exc
+
+
+_INVALID = (KeyError, IndexError, TypeError, ValueError)
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def load_problem(path) -> Union[SdpProblem, BlockSdp]:
@@ -263,9 +276,8 @@ def load_problem(path) -> Union[SdpProblem, BlockSdp]:
             return BlockSdp.from_json_dict(data, path.parent)
         if kind == "sdp_problem" or (isinstance(data, dict) and "block_dims" in data):
             return SdpProblem.from_json_dict(data)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ValueError(f"{path} is not a valid problem document: {what}") from exc
+    except _INVALID as exc:
+        raise ValueError(f"{path} is not a valid problem document: {_reason(exc)}") from exc
     raise ValueError(f"{path} does not contain an SDP or block-SDP document")
 
 

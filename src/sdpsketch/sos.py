@@ -14,12 +14,16 @@ cone, and the multipliers of the matrix equation form the moment matrix.
 
 An SdpProblem stores its equality system once, as the svec matrix a_svec
 with one column per constraint.  The interior-point layouts, the consensus
-solver and the KKT replay all read that matrix; the per-constraint
-matrices are only unpacked for JSON output.
+solver and the KKT replay all read that matrix, and the JSON document holds
+it packed: a_svec and rhs as little-endian float64 bytes in base64, beside
+their shapes, so a problem file decodes to the same bits it was written
+from.  The older coordinate form, one {"rhs", "blocks"} entry per
+constraint, is still read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -75,29 +79,47 @@ class MomentMeta:
 class SdpProblem:
     """Canonical SDP pair data; see module docstring for both readings.
 
-    The constraints are given as (matrices, rhs) pairs, one symmetric matrix
-    per block, and stored once, packed: column j of `a_svec` is svec(A_j)
-    with the blocks stacked, block b in rows offsets[b]:offsets[b + 1].
-    Problems are not changed after construction and compare by identity: a
-    copy is a different problem.
+    The constraints are given either as (matrices, rhs) pairs, one symmetric
+    matrix per block, or already packed as `a_svec` and `rhs`; they are
+    stored once, packed: column j of `a_svec` is svec(A_j) with the blocks
+    stacked, block b in rows offsets[b]:offsets[b + 1].  Problems are not
+    changed after construction and compare by identity: a copy is a
+    different problem.
     """
 
     def __init__(self, block_dims: Sequence[int], cost_blocks: Sequence[np.ndarray],
-                 constraints: Sequence[Tuple[Sequence[np.ndarray], float]],
+                 constraints: Optional[Sequence[Tuple[Sequence[np.ndarray], float]]] = None,
                  sense: str = "min", obj_offset: float = 0.0,
-                 moment_meta: Optional[MomentMeta] = None):
+                 moment_meta: Optional[MomentMeta] = None, *,
+                 a_svec: Optional[np.ndarray] = None, rhs: Optional[Sequence[float]] = None):
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+        if (constraints is None) == (a_svec is None) or (a_svec is None) != (rhs is None):
+            raise ValueError("give either constraints or both a_svec and rhs")
         self.block_dims = tuple(int(d) for d in block_dims)
         self.cost_blocks = tuple(_symmetric(c, d, "cost")
                                  for c, d in zip(cost_blocks, self.block_dims))
         self.offsets = np.cumsum([0] + [svec_dim(d) for d in self.block_dims])
-        constraints = list(constraints)
-        self.a_svec = np.zeros((int(self.offsets[-1]), len(constraints)))
-        for j, (mats, _) in enumerate(constraints):
-            self.a_svec[:, j] = self.pack(
-                [_symmetric(a, d, "constraint") for a, d in zip(mats, self.block_dims)])
-        self.rhs = np.array([float(b) for _, b in constraints])
+        if constraints is None:
+            a_svec = np.array(a_svec, dtype=float)  # a copy of its own, made read-only below
+        else:
+            constraints = list(constraints)
+            a_svec = np.zeros((int(self.offsets[-1]), len(constraints)))
+            for j, (mats, _) in enumerate(constraints):
+                a_svec[:, j] = self.pack(
+                    [_symmetric(a, d, "constraint") for a, d in zip(mats, self.block_dims)])
+            rhs = [float(b) for _, b in constraints]
+        self.a_svec = a_svec
+        self.rhs = np.array(rhs, dtype=float)
+        if self.rhs.ndim != 1:
+            raise ValueError(f"rhs has shape {self.rhs.shape}, not one value per constraint")
+        want = (int(self.offsets[-1]), self.rhs.size)
+        if self.a_svec.shape != want:
+            raise ValueError(
+                f"a_svec has shape {self.a_svec.shape}, but block_dims {list(self.block_dims)} "
+                f"and {self.rhs.size} right-hand sides need {want}")
+        if not (np.isfinite(self.a_svec).all() and np.isfinite(self.rhs).all()):
+            raise ValueError("the constraint matrix or right-hand side has a non-finite entry")
         self.a_svec.flags.writeable = self.rhs.flags.writeable = False
         self.sense = sense
         self.obj_offset = obj_offset
@@ -149,7 +171,7 @@ class SdpProblem:
     def primal_cost(self, x_blocks: Sequence[np.ndarray]) -> float:
         return sum(float(np.tensordot(c, x)) for c, x in zip(self.cost_blocks, x_blocks))
 
-    # -- JSON (sparse upper-triangle coordinate form) --------------------
+    # -- JSON: cost blocks as coordinates, constraints packed -------------
     def to_json_dict(self) -> dict:
         data = {
             "type": "sdp_problem",
@@ -157,10 +179,8 @@ class SdpProblem:
             "block_dims": list(self.block_dims),
             "obj_offset": self.obj_offset,
             "cost_blocks": [_mat_coords(c) for c in self.cost_blocks],
-            "constraints": [
-                {"rhs": b, "blocks": [_mat_coords(a) for a in mats]}
-                for mats, b in self.constraints
-            ],
+            "a_svec": _packed(self.a_svec),
+            "rhs": _packed(self.rhs),
         }
         if self.moment_meta is not None:
             data["moment_meta"] = {
@@ -175,17 +195,23 @@ class SdpProblem:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SdpProblem":
+        """Reads the packed form ("a_svec" and "rhs") or the coordinate form
+        ("constraints"), whichever the document has."""
         dims = [int(d) for d in data["block_dims"]]
         costs = tuple(
             _mat_from_coords(c, d) for c, d in zip(data["cost_blocks"], dims)
         )
-        cons = [
-            (
-                tuple(_mat_from_coords(a, d) for a, d in zip(entry["blocks"], dims)),
-                float(entry["rhs"]),
-            )
-            for entry in data["constraints"]
-        ]
+        if "a_svec" in data:
+            system = dict(a_svec=_unpacked(data["a_svec"], "a_svec"),
+                          rhs=_unpacked(data["rhs"], "rhs"))
+        else:
+            system = dict(constraints=[
+                (
+                    tuple(_mat_from_coords(a, d) for a, d in zip(entry["blocks"], dims)),
+                    float(entry["rhs"]),
+                )
+                for entry in data["constraints"]
+            ])
         meta = None
         if "moment_meta" in data:
             m = data["moment_meta"]
@@ -194,10 +220,10 @@ class SdpProblem:
         return SdpProblem(
             block_dims=tuple(dims),
             cost_blocks=costs,
-            constraints=cons,
             sense=data.get("sense", "min"),
             obj_offset=float(data.get("obj_offset", 0.0)),
             moment_meta=meta,
+            **system,
         )
 
     @staticmethod
@@ -227,6 +253,23 @@ def _mat_coords(mat: np.ndarray) -> dict:
         "j": ib[keep].tolist(),
         "v": vals[keep].tolist(),
     }
+
+
+def _packed(arr: np.ndarray) -> dict:
+    """An array as its shape and its little-endian float64 bytes in base64."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "float64_le": base64.b64encode(raw).decode("ascii")}
+
+
+def _unpacked(data: dict, what: str) -> np.ndarray:
+    shape = tuple(int(s) for s in data["shape"])
+    try:
+        raw = base64.b64decode(data["float64_le"], validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"{what} is not valid base64: {exc}") from None
+    if min(shape, default=0) < 0 or len(raw) != 8 * int(np.prod(shape)):
+        raise ValueError(f"{what} holds {len(raw)} bytes, not 8 per entry of shape {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _mat_from_coords(data: dict, n: int) -> np.ndarray:

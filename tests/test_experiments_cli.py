@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -41,6 +42,20 @@ def _recording_solve(log, fail_rank=None):
         return solve(problem, config)
 
     return recording_solve
+
+
+def coordinate_form(prob) -> dict:
+    """prob's document with its constraints in the coordinate form."""
+    def coords(mat):
+        i, j = np.triu_indices(mat.shape[0])
+        keep = mat[i, j] != 0.0
+        return {"i": i[keep].tolist(), "j": j[keep].tolist(), "v": mat[i, j][keep].tolist()}
+
+    doc = prob.to_json_dict()
+    del doc["a_svec"], doc["rhs"]
+    doc["constraints"] = [{"rhs": b, "blocks": [coords(a) for a in mats]}
+                          for mats, b in prob.constraints]
+    return doc
 
 
 def poc_config(out_dir, **kw):
@@ -176,6 +191,21 @@ class TestSweep:
         again = solve(load_problem(path))
         assert again.status.value == res.cell(3, 0).status
         assert again.objective == res.cell(3, 0).objective
+
+    def test_coordinate_form_documents_still_load(self, tmp_path):
+        # The coordinate form: one {"rhs", "blocks"} entry per constraint,
+        # as sweeps wrote base problems before the packed form.
+        cfg = poc_config(tmp_path / "a", ranks=(3,), seeds=(0,))
+        res = run_rank_sweep(cfg)
+        packed = load_problem(tmp_path / "a" / "problems" / "rank003_seed0.json")
+        doc = packed.to_json_dict()
+        doc["base"] = coordinate_form(packed.base)
+        path = tmp_path / "inline" / "cell.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(doc))
+        again, want = solve(load_problem(path)), solve(packed)
+        assert again.status.value == want.status.value == res.cell(3, 0).status
+        assert again.objective == want.objective == res.cell(3, 0).objective
 
     def test_timing_file_has_all_cells(self, tmp_path):
         res = run_rank_sweep(poc_config(tmp_path / "a"))
@@ -321,6 +351,54 @@ class TestCliSolve:
             "cost_blocks": [{"i": [0], "j": [5], "v": [1.0]}], "constraints": [],
         }))
         assert "outside" in self.one_line_error(["solve", str(path)])
+
+    def test_hand_written_coordinate_problem_matches_packed(self, tmp_path):
+        # min <C, X> s.t. tr X = 1: the smallest eigenvalue of C, 1.5 - sqrt(0.5)
+        path = tmp_path / "coords.json"
+        path.write_text(json.dumps({
+            "type": "sdp_problem", "sense": "min", "block_dims": [2], "obj_offset": 0.0,
+            "cost_blocks": [{"i": [0, 0, 1], "j": [0, 1, 1], "v": [1.0, 0.5, 2.0]}],
+            "constraints": [{"rhs": 1.0, "blocks": [{"i": [0, 1], "j": [0, 1], "v": [1.0, 1.0]}]}],
+        }))
+        prob = load_problem(path)
+        packed = tmp_path / "packed.json"
+        packed.write_text(prob.to_json())
+        assert "a_svec" in json.loads(packed.read_text())
+        solutions = [tmp_path / "coords.sol.json", tmp_path / "packed.sol.json"]
+        for problem, out in zip((path, packed), solutions):
+            assert cli_main(["solve", str(problem), "--out", str(out)]) == 0
+        coords, again = (json.loads(out.read_text()) for out in solutions)
+        assert coords["status"] == again["status"] == "Optimal"
+        assert coords["objective"] == again["objective"]
+        assert abs(coords["objective"] - (1.5 - 0.5 ** 0.5)) <= 1e-7
+
+    @pytest.mark.parametrize("fault, message", [
+        ("base64", "base64"), ("bytes", "bytes"), ("nan", "non-finite"), ("shape", "shape")])
+    def test_malformed_packed_base_is_reported(self, tmp_path, fault, message):
+        cell = self.sweep_cell(tmp_path)
+        base = cell.parent / "base.json"
+        data = json.loads(base.read_text())
+        packed = data["a_svec"]
+        values = np.frombuffer(base64.b64decode(packed["float64_le"]), dtype="<f8").copy()
+        if fault == "base64":
+            packed["float64_le"] = "not base64!"
+        elif fault == "bytes":
+            packed["float64_le"] = base64.b64encode(values[:-1].tobytes()).decode()
+        elif fault == "nan":
+            values[values.size // 2] = np.nan
+            packed["float64_le"] = base64.b64encode(values.tobytes()).decode()
+        else:
+            packed["shape"] = packed["shape"][::-1]
+        base.write_text(json.dumps(data))
+        # the cell still vouches for the base, so only the base's content is at fault
+        doc = json.loads(cell.read_text())
+        doc["base_sha256"] = hashlib.sha256(base.read_bytes()).hexdigest()
+        cell.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="base.json") as err:
+            load_problem(cell)
+        assert message in str(err.value)
+        msg = self.one_line_error(["solve", str(cell)])
+        assert str(base) in msg and message in msg
 
     @staticmethod
     def sweep_cell(tmp_path) -> Path:

@@ -206,6 +206,47 @@ class TestSerialization:
             assert np.array_equal(back.a_svec, prob.a_svec)
             assert np.array_equal(back.rhs, prob.rhs)
 
+    def test_json_round_trip_is_bit_exact_for_hand_built_problems(self, rng):
+        # Off-diagonal entries that are not dyadic and a negative zero, built
+        # from matrices; and a packed matrix whose entries are not svec images
+        # of representable matrix entries.
+        a = np.array([[1.0, 0.1, 1 / 3], [0.1, 2.0, -0.0], [1 / 3, -0.0, 0.7]])
+        by_matrix = SdpProblem(block_dims=(3,), cost_blocks=(np.eye(3),),
+                               constraints=[((a,), 1.0), ((np.eye(3),), 3.0)])
+        by_packed = SdpProblem(block_dims=(3,), cost_blocks=(np.eye(3),),
+                               a_svec=rng.standard_normal((6, 4)), rhs=rng.standard_normal(4))
+        for prob in (by_matrix, by_packed):
+            back = SdpProblem.from_json_dict(prob.to_json_dict())
+            assert back.a_svec.tobytes() == prob.a_svec.tobytes()
+            assert back.rhs.tobytes() == prob.rhs.tobytes()
+
+    def test_packed_and_matrix_constructors_agree(self, rng):
+        prob = TestPackedConstraints.random_problem(rng)
+        again = SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
+                           a_svec=prob.a_svec, rhs=prob.rhs)
+        assert again.a_svec.tobytes() == prob.a_svec.tobytes()
+        assert not np.shares_memory(again.a_svec, prob.a_svec)
+        assert not again.a_svec.flags.writeable and not again.rhs.flags.writeable
+
+    @pytest.mark.parametrize("system", [
+        {}, {"a_svec": np.zeros((3, 1))}, {"rhs": [0.0]},
+        {"constraints": [], "a_svec": np.zeros((3, 0)), "rhs": []},
+    ])
+    def test_constructor_needs_one_form_of_the_system(self, system):
+        with pytest.raises(ValueError, match="either constraints"):
+            SdpProblem(block_dims=(2,), cost_blocks=(np.eye(2),), **system)
+
+    @pytest.mark.parametrize("a_svec, rhs, match", [
+        (np.zeros((4, 1)), [0.0], "shape"),
+        (np.zeros((3, 2)), [0.0], "shape"),
+        (np.zeros((3, 1)), [[0.0]], "rhs"),
+        (np.full((3, 1), np.nan), [0.0], "non-finite"),
+        (np.zeros((3, 1)), [np.inf], "non-finite"),
+    ])
+    def test_packed_system_is_checked(self, a_svec, rhs, match):
+        with pytest.raises(ValueError, match=match):
+            SdpProblem(block_dims=(2,), cost_blocks=(np.eye(2),), a_svec=a_svec, rhs=rhs)
+
     def test_symmetry_validation(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):

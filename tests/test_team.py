@@ -56,6 +56,23 @@ def test_failed_task_is_reported_and_team_still_closes():
     assert team.helpers == []
 
 
+def test_caller_failure_is_not_replaced_by_a_helper_failure():
+    caller = os.getpid()
+
+    def boom():
+        raise ValueError(f"task failed in process {os.getpid()}")
+
+    # A process stops at its first failed task, so with two tasks and two
+    # processes the caller and the helper each run, and fail, exactly one.
+    team = Team(2, lambda command: [boom] * 2)
+    try:
+        with pytest.raises(ValueError, match=f"process {caller}$"):
+            team.run(0)
+    finally:
+        team.join()
+    assert team.helpers == []
+
+
 def test_helper_that_dies_is_reported_instead_of_waited_for():
     caller = os.getpid()
 
