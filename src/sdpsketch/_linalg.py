@@ -53,13 +53,6 @@ def sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
-def psd_project(mat: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
-    w, v = np.linalg.eigh(sym(mat))
-    wc = np.clip(w, 0.0, None)
-    return (v * wc) @ v.T
-
-
 def max_step_psd(linv: np.ndarray, direction: np.ndarray) -> float:
     """Largest t with L L' + t*direction PSD, given linv = L^-1 for the lower
     Cholesky factor L of a positive definite matrix: -1/lambda_min(L^-1 D L^-T).

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .experiments import ExperimentConfig, run_density, run_rank_sweep
+from .experiments import ExperimentConfig, build_base_problem, run_density, run_rank_sweep
 from .sketch import BlockSdp, load_problem, restrict_dual, sample_ensemble
 from .solver import SolverConfig, Status, solve
 from .sos import SdpProblem
@@ -69,9 +69,15 @@ def _config_from_args(args) -> ExperimentConfig:
         raise SystemExit(f"error: {exc}") from None
 
 
+def _built(cfg: ExperimentConfig):
+    """The experiment's base problem, with a problem file that cannot be
+    read reported as one error line."""
+    return _read(cfg.problem_path, lambda _: build_base_problem(cfg))
+
+
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    res = run_rank_sweep(cfg)
+    res = run_rank_sweep(cfg, built=_built(cfg))
     print(f"wrote {res.table_path} and {res.timing_path}")
     ref = res.reference
     print(f"full reference: {ref.status.value} objective {ref.objective!r}")
@@ -83,7 +89,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_density(args) -> int:
     cfg = _config_from_args(args)
-    res = run_density(cfg)
+    res = run_density(cfg, built=_built(cfg))
     for tag in sorted(res["grids"]):
         print(f"grid {tag}: written")
     for tag, why in sorted(res["skipped"].items()):

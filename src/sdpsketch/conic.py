@@ -6,12 +6,16 @@ solvers:
 
 Blocks travel in groups of equal size: each group is one (N, r, r) array
 and the row system lists its groups as (N, r) pairs.  Both row systems read
-the base problem's svec constraint matrix, one (num_rows, svec_dim(n_b))
-row segment per base block: DenseRows (the canonical pair, one group of
-size 1 per block) applies it to the blocks directly, and ProjectedRows (the
-restricted layout, one group of N samples per base block) through a
-congruence U_i' (.) U_i per sample.  Both assemble their Schur complement
-as sum_b R_b K_b R_b' with one aggregated congruence kernel K_b per group.
+one (num_rows, svec_dim(n_b)) svec row segment per base block.  DenseRows
+holds the canonical pair in its pair form (one group of size 1 per block,
+one row per constraint) and applies the segments of a_svec to the blocks
+directly.  ProjectedRows holds a restricted dual (one group of N samples per
+base block, one row per direction of the complement of A's range) and
+applies its segments through a congruence U_i' (.) U_i per sample.  The
+solver also gives ProjectedRows, with one identity ensemble per block, the
+pair whose reduced form has fewer rows (2m > sum svec(n_b)) and whose A has
+rank m; see solver.  Both assemble their Schur complement as
+sum_b R_b K_b R_b' with one aggregated congruence kernel K_b per group.
 """
 
 from __future__ import annotations

@@ -37,7 +37,13 @@ from .instances import (
 )
 from .measures import MomentRecoveryError, density_grid, extract_moments
 from .polynomial import Polynomial, monomial_basis
-from .sketch import BlockSdp, ensembles_for_problem, extend_ensembles, restrict_dual
+from .sketch import (
+    BlockSdp,
+    ensembles_for_problem,
+    extend_ensembles,
+    load_problem,
+    restrict_dual,
+)
 from .solver import SolverConfig, Solution, Status, restricted_reduction, solve
 from .sos import SdpProblem, compile_pop
 
@@ -92,7 +98,11 @@ class ExperimentConfig:
 
 
 def build_base_problem(cfg: ExperimentConfig):
-    """Returns (SdpProblem, extras) where extras carries front-end objects."""
+    """Returns (SdpProblem, extras) where extras carries front-end objects.
+
+    A raw-sdp problem file is read by load_problem, so whatever is wrong
+    with it raises OSError, json.JSONDecodeError or a ValueError naming it.
+    """
     if cfg.kind == "pop":
         if cfg.problem_path:
             with open(cfg.problem_path) as fh:
@@ -119,8 +129,11 @@ def build_base_problem(cfg: ExperimentConfig):
     if cfg.kind == "raw-sdp":
         if not cfg.problem_path:
             raise ValueError("raw-sdp experiments need a problem file")
-        with open(cfg.problem_path) as fh:
-            return SdpProblem.from_json_dict(json.load(fh)), {}
+        prob = load_problem(cfg.problem_path)
+        if not isinstance(prob, SdpProblem):
+            raise ValueError(f"{cfg.problem_path} holds a block_sdp document; raw-sdp "
+                             "experiments need an sdp_problem")
+        return prob, {}
     raise ValueError(f"unknown experiment kind {cfg.kind!r}")
 
 
@@ -172,8 +185,10 @@ def _build_cells(base: SdpProblem, cfg: ExperimentConfig) -> List[Tuple[int, int
     return cells
 
 
-def run_rank_sweep(cfg: ExperimentConfig, write: bool = True) -> SweepResult:
-    base, _ = build_base_problem(cfg)
+def run_rank_sweep(cfg: ExperimentConfig, write: bool = True,
+                   built: Optional[Tuple[SdpProblem, dict]] = None) -> SweepResult:
+    """The sweep of `cfg`; `built` is build_base_problem(cfg), if the caller has it."""
+    base, _ = built or build_base_problem(cfg)
     solver_cfg = cfg.solver_config()
 
     t0 = time.perf_counter()
@@ -258,9 +273,11 @@ def _write_timing_csv(res: SweepResult, ref_seconds: float, path: str):
         fh.write("\n".join(lines) + "\n")
 
 
-def run_density(cfg: ExperimentConfig, write: bool = True) -> Dict[str, object]:
-    """Per-rank dual density grids (first seed), plus the full-solve grid."""
-    base, extras = build_base_problem(cfg)
+def run_density(cfg: ExperimentConfig, write: bool = True,
+                built: Optional[Tuple[SdpProblem, dict]] = None) -> Dict[str, object]:
+    """Per-rank dual density grids (first seed), plus the full-solve grid;
+    `built` is build_base_problem(cfg), if the caller has it."""
+    base, extras = built or build_base_problem(cfg)
     out_dir = Path(cfg.out_dir)
     if write:
         out_dir.mkdir(parents=True, exist_ok=True)

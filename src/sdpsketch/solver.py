@@ -23,11 +23,21 @@ array (see conic): one group of N samples per ensemble of a BlockSdp, one
 group of size 1 per block of the pair.  The Solution is unstacked once, so
 its block lists hold one matrix per sample or block.
 
+The pair is solved in whichever form has fewer Schur rows (Lofberg 2009,
+"Dualize it").  With m constraints on blocks of total svec dimension d, the
+pair form has m rows; the reduced form, the pair's restricted dual over one
+identity ensemble per block (N = 1, U = I), which eliminates y, has d - m.
+So a pair with 2m > d is solved reduced, through the same restricted_reduction
+and Solution assembly as every BlockSdp, unless A has rank below m: then b
+may lie outside A's range, and the elimination would solve a least-squares
+problem, so the pair form solves it.  Either way the Solution fields mean
+what the list above says for the pair's sense.
+
 Every layout reads the base problem's one svec constraint matrix a_svec:
-the pair as DenseRows row segments, each restricted dual through the
-elimination data built from it once per base problem (restricted_reduction,
-shared with the consensus solver), and the KKT replay through the
-problem's dual_slack and constraint_values.
+the pair form as DenseRows row segments, each restricted dual (the reduced
+pair included) through the elimination data built from it once per base
+problem (restricted_reduction, shared with the consensus solver), and the
+KKT replay through the problem's dual_slack and constraint_values.
 """
 
 from __future__ import annotations
@@ -55,7 +65,13 @@ from .ipm import (
     ConicResult,
     solve_conic,
 )
-from .sketch import BlockSdp, lift_blocks, lift_dual_certificate, restrict_dual
+from .sketch import (
+    BlockSdp,
+    SubspaceEnsemble,
+    lift_blocks,
+    lift_dual_certificate,
+    restrict_dual,
+)
 from .sos import SdpProblem
 
 
@@ -328,31 +344,67 @@ def _solve_conic(prog: ConicProgram, config: SolverConfig) -> ConicResult:
                            config.keep_trace or config.trace_path is not None)
 
 
+def _reduced_form(problem: SdpProblem) -> Optional[BlockSdp]:
+    """The pair as its restricted dual over identity ensembles (N = 1, U = I),
+    when that has fewer Schur rows, sum svec(n_b) - m, than the pair's m, and
+    its elimination of y is exact; otherwise None.
+
+    A rank-deficient A is left to the pair form: with b outside its range the
+    elimination would solve a least-squares problem instead.  The reduction
+    and its SVD are built here, before the solve holds BLAS at one thread, as
+    a sweep builds them, so a sweep's cells get the same bits whichever
+    solve builds them first.
+    """
+    dim, m = problem.a_svec.shape
+    if 2 * m <= dim:
+        return None
+    red = restricted_reduction(problem)
+    if red.perp.shape[1] != dim - m:  # rank(A) < m
+        return None
+    # Built in place, never serialized: a recipe would regenerate a random U.
+    return restrict_dual(problem, [
+        SubspaceEnsemble(n=n, r=n, N=1, seed=0, orthonormal=True, matrices=(np.eye(n),))
+        for n in problem.block_dims])
+
+
 def _solve_pair(problem: SdpProblem, config: SolverConfig) -> Solution:
     t0 = time.perf_counter()
-    res = _solve_conic(_conic_from_pair(problem), config)
+    reduced = _reduced_form(problem)
+    if reduced is None:
+        res = _solve_conic(_conic_from_pair(problem), config)
+    else:
+        red = restricted_reduction(problem)
+        res = _solve_conic(_conic_from_restricted(reduced, red), config)
     sense = problem.sense
     status = _STATUS[res.status]
-    if sense == "max":  # a max-sense pair is the program's dual side
+    # The pair form's program has the min side as its primal, the reduced form the max side.
+    if (sense == "max") == (reduced is None):
         status = _ACROSS_DUALITY.get(status, status)
     if status in _ACROSS_DUALITY:
         sol = _certified(status, sense, res)
-        return _finish(sol, problem, config, res.iterations, res.trace, t0)
-    xs = _unstack(res.x_blocks)
-    slacks = [sym(z) for z in _unstack(res.z_blocks)]
-    if sense == "max":
-        objective, psd, eq_mult = res.dual_objective, slacks, _plain_upper(xs)
+    elif reduced is not None:
+        objective = red.const - (res.primal_objective if sense == "max" else res.dual_objective)
+        sol = _restricted_solution(reduced, red, status, objective,
+                                   [sym(s) for s in res.x_blocks], red.moment_matrices(res.w))
+        sol.dual_slacks = sol.psd_blocks
+        if sense == "min":
+            sol.psd_blocks, sol.eq_multipliers = sol.moment_matrices, sol.free_vars.copy()
     else:
-        objective, psd, eq_mult = res.primal_objective, xs, res.w.copy()
-    sol = Solution(
-        status=status,
-        objective=objective + problem.obj_offset,
-        psd_blocks=psd,
-        free_vars=res.w,
-        eq_multipliers=eq_mult,
-        moment_matrices=xs,
-        dual_slacks=slacks,
-    )
+        xs = _unstack(res.x_blocks)
+        slacks = [sym(z) for z in _unstack(res.z_blocks)]
+        if sense == "max":
+            objective, psd, eq_mult = res.dual_objective, slacks, _plain_upper(xs)
+        else:
+            objective, psd, eq_mult = res.primal_objective, xs, res.w.copy()
+        sol = Solution(
+            status=status,
+            objective=objective + problem.obj_offset,
+            psd_blocks=psd,
+            free_vars=res.w,
+            eq_multipliers=eq_mult,
+            moment_matrices=xs,
+            dual_slacks=slacks,
+        )
     return _finish(sol, problem, config, res.iterations, res.trace, t0)
 
 

@@ -400,6 +400,18 @@ class TestCliSolve:
         msg = self.one_line_error(["solve", str(cell)])
         assert str(base) in msg and message in msg
 
+    @pytest.mark.parametrize("command", ["sweep", "density"])
+    def test_malformed_raw_sdp_problem_is_reported(self, tmp_path, rng, command):
+        path = tmp_path / "problem.json"
+        data = random_feasible_sdp(rng, 3, 2).to_json_dict()
+        data["a_svec"]["float64_le"] = "not base64!"
+        path.write_text(json.dumps(data))
+        msg = self.one_line_error([command, "--kind", "raw-sdp", "--problem", str(path),
+                                   "--ranks", "1", "--seeds", "0", "--samples", "2",
+                                   "--out", str(tmp_path / "out")])
+        assert str(path) in msg and "base64" in msg
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def sweep_cell(tmp_path) -> Path:
         run_rank_sweep(poc_config(tmp_path / "s", ranks=(2,), seeds=(0,), samples=5))

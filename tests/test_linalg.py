@@ -7,7 +7,6 @@ from sdpsketch._linalg import (
     aggregate_congruence_operator,
     max_step_psd,
     nullspace,
-    psd_project,
     smat,
     svec,
     sym,
@@ -88,14 +87,6 @@ def test_nullspace_is_orthonormal_kernel():
     assert ns.shape == (9, 5)
     assert np.allclose(a @ ns, 0.0, atol=1e-10)
     assert np.allclose(ns.T @ ns, np.eye(5), atol=1e-12)
-
-
-def test_psd_project_idempotent_and_nearest():
-    rng = np.random.default_rng(11)
-    m = random_sym(rng, 5)
-    p = psd_project(m)
-    assert np.linalg.eigvalsh(p)[0] >= -1e-12
-    assert np.allclose(psd_project(p), p, atol=1e-12)
 
 
 def test_aggregate_congruence_matches_brute_force():

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from sdpsketch.control import compile_poc
+from sdpsketch import solver
+from sdpsketch._linalg import svec_dim
 from sdpsketch.instances import (
     default_poc_problem,
+    default_pop_problem,
     infeasible_sdp,
     random_feasible_sdp,
     unbounded_sdp,
@@ -17,6 +20,7 @@ from sdpsketch.solver import (
     Status,
     _conic_from_pair,
     _conic_from_restricted,
+    _reduced_form,
     kkt_residuals,
     restricted_reduction,
     solve,
@@ -93,6 +97,83 @@ class TestPairRows:
     def test_reduction_reads_the_problems_matrix(self, rng):
         prob = random_feasible_sdp(rng, 4, 3)
         assert restricted_reduction(prob).a_mat is prob.a_svec
+
+
+def _with_sense(prob: SdpProblem, sense: str) -> SdpProblem:
+    return SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
+                      a_svec=prob.a_svec, rhs=prob.rhs, sense=sense)
+
+
+class TestPairForm:
+    """A pair whose reduced form, sum svec(n_b) - m rows, is smaller than its
+    m rows is solved as its restricted dual over identity ensembles."""
+
+    def test_default_pop_solves_on_90_rows_and_a9_shape_keeps_75(self, rng, monkeypatch):
+        rows = []
+
+        def recording(prog, *args):
+            rows.append(prog.ops.num_rows)
+            return solve_conic(prog, *args)
+
+        monkeypatch.setattr(solver, "solve_conic", recording)
+        pop = default_pop_problem()
+        assert pop.a_svec.shape == (637, 547)
+        solve(pop)
+        solve(random_feasible_sdp(rng, 25, 75))
+        assert rows == [90, 75]
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_reduced_form_agrees_with_pair_form(self, rng, sense):
+        for _ in range(6):
+            n = int(rng.integers(3, 6))
+            m = int(rng.integers(svec_dim(n) // 2 + 1, svec_dim(n)))
+            prob = random_feasible_sdp(rng, n, m, sense=sense)
+            assert _reduced_form(prob) is not None
+            pair = solve_conic(_conic_from_pair(prob))
+            assert pair.status == OPTIMAL
+            want = pair.primal_objective if sense == "min" else pair.dual_objective
+            sol = solve(prob)
+            assert sol.status == Status.Optimal
+            assert abs(sol.objective - want) <= 1e-7 * (1 + abs(want))
+            assert kkt_residuals(prob, sol).max() <= 1e-8 * (1 + abs(sol.objective))
+            # the field contract of the solver docstring, in the pair's own sense
+            x_side = sol.psd_blocks if sense == "min" else sol.moment_matrices
+            assert np.allclose(prob.constraint_values(x_side), prob.rhs, atol=1e-7)
+            assert sol.dual_slacks and np.array_equal(
+                sol.eq_multipliers, sol.free_vars if sense == "min" else
+                np.concatenate([x[np.triu_indices(n)] for x in sol.moment_matrices]))
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_certificates_survive_the_reduced_form(self, rng, sense):
+        cases = [(infeasible_sdp, Status.Infeasible), (unbounded_sdp, Status.Unbounded)]
+        across = {Status.Infeasible: Status.Unbounded, Status.Unbounded: Status.Infeasible}
+        for make, status in cases:
+            for n, m in ((2, 2), (3, 4), (3, 5)):
+                prob = _with_sense(make(rng, n, m), sense)
+                assert _reduced_form(prob) is not None
+                sol = solve(prob)
+                # the max side of the same pair reports the other status, at the same infinity
+                assert sol.status == (status if sense == "min" else across[status])
+                assert sol.objective == (np.inf if status == Status.Infeasible else -np.inf)
+                assert sol.certificate is not None
+
+    def test_rank_deficient_constraints_stay_in_pair_form(self, rng):
+        prob = random_feasible_sdp(rng, 4, 7)
+        dup = np.hstack([prob.a_svec, prob.a_svec[:, :1]])
+        consistent = SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
+                                a_svec=dup, rhs=np.append(prob.rhs, prob.rhs[0]))
+        assert _reduced_form(consistent) is None
+        want = solve(prob)
+        sol = solve(consistent)
+        assert sol.status == Status.Optimal
+        assert abs(sol.objective - want.objective) <= 1e-7 * (1 + abs(want.objective))
+        # b outside A's range: the elimination's least-squares value would read Optimal
+        inconsistent = SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
+                                  a_svec=dup, rhs=np.append(prob.rhs, prob.rhs[0] + 1.0))
+        assert _reduced_form(inconsistent) is None
+        sol = solve(inconsistent)
+        assert sol.status == Status.Infeasible
+        assert sol.objective == np.inf
 
 
 class TestFactorReuse:
