@@ -197,7 +197,7 @@ def run_rank_sweep(cfg: ExperimentConfig, write: bool = True,
 
     cells = _build_cells(base, cfg)
     ipm = solver_cfg.mode != "consensus"
-    if ipm:  # built in the caller before the team forks: one SVD, alike at every `jobs`
+    if ipm:  # built in the caller before the team forks: one QR, alike at every `jobs`
         restricted_reduction(base).row_segments
     statuses = list(Status)
     rows = Arena([(len(cells), 4)]).arrays[0]  # status, objective, iterations, wall

@@ -10,6 +10,7 @@ which concentrate on the support of the underlying measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -109,17 +110,14 @@ class GridDensity:
         return tuple(float(a[i]) for a, i in zip(self.axes, idx))
 
     def to_csv(self, path) -> None:
-        dims = len(self.axes)
-        header = ",".join([f"x{i+1}" for i in range(dims)] + ["value"])
-        lines = [header]
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        flat = [g.ravel() for g in grids]
-        vals = self.values.ravel()
-        for k in range(vals.size):
-            coords = ",".join(repr(float(f[k])) for f in flat)
-            lines.append(f"{coords},{repr(float(vals[k]))}")
+        """One row per grid point, in the C order of the ij meshgrid; every
+        number is the repr of a Python float, each axis coordinate made once."""
+        header = ",".join([f"x{i+1}" for i in range(len(self.axes))] + ["value"])
+        coords = [[repr(x) for x in np.asarray(a, float).tolist()] for a in self.axes]
+        values = map(repr, np.asarray(self.values, float).ravel().tolist())
+        rows = (",".join(point) + "," + v for point, v in zip(product(*coords), values))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(chain([header], rows)) + "\n")
 
     def to_pgm(self, path) -> None:
         if len(self.axes) != 2:

@@ -48,13 +48,13 @@ class SubspaceEnsemble:
         for u in self.matrices:
             if u.shape != (self.n, self.r):
                 raise ValueError(f"ensemble matrix has shape {u.shape}, expected {(self.n, self.r)}")
-            smin = np.linalg.svd(u, compute_uv=False)[-1]
-            if smin <= 1e-10:
-                raise ValueError("sampled subspace matrix is numerically rank deficient")
-            if self.orthonormal:
-                err = np.abs(u.T @ u - np.eye(self.r)).max()
-                if err > 1e-12:
-                    raise ValueError(f"orthonormality violated by {err:.2e}")
+        stack = np.stack(self.matrices)
+        if np.linalg.svd(stack, compute_uv=False)[:, -1].min() <= 1e-10:
+            raise ValueError("sampled subspace matrix is numerically rank deficient")
+        if self.orthonormal:
+            err = np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(self.r)).max()
+            if err > 1e-12:
+                raise ValueError(f"orthonormality violated by {err:.2e}")
 
     def transposed_stack(self) -> np.ndarray:
         """The C-contiguous (N, r, n) stack of the U_i'."""

@@ -51,7 +51,7 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, qr
 
 from ._blas import limit_blas_threads
 from ._linalg import restrict_congruence, sym, triu_indices
@@ -212,17 +212,22 @@ class _RestrictedReduction:
         self.c_vec = c_vec
         self.const = float(w_obj @ c_vec) + base.obj_offset
 
-    # The complement basis needs a full SVD of a_mat; only the interior-point
+    # The complement basis needs a complete QR of a_mat; only the interior-point
     # layout uses it, so the consensus solver never pays for it.
     @cached_property
     def perp(self) -> np.ndarray:
-        """Orthonormal basis of the complement of span{svec(A_j)}."""
+        """Orthonormal basis of the complement of span{svec(A_j)}.
+
+        The trailing columns of a column-pivoted complete QR; the rank is the
+        number of |R_kk| above 1e-11 times the first pivot.
+        """
         if not self.base.num_constraints:
             return np.eye(self.a_mat.shape[0])
-        u, s, vh = np.linalg.svd(self.a_mat, full_matrices=True)
-        tol = (s[0] if s.size else 1.0) * 1e-11
-        rank = int(np.sum(s > tol))
-        return u[:, rank:]
+        q, r, _ = qr(self.a_mat, mode="full", pivoting=True)
+        diag = np.abs(np.diag(r))
+        tol = (diag[0] if diag.size else 1.0) * 1e-11
+        rank = int(np.sum(diag > tol))
+        return q[:, rank:]
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -243,7 +248,8 @@ def restricted_reduction(base: SdpProblem) -> _RestrictedReduction:
     """The reduction of `base`, built on its first restriction and kept on it.
 
     Every sweep cell of one base problem then shares one svec constraint
-    matrix and one SVD; a sweep builds it before its helper processes fork.
+    matrix and one complement basis; a sweep builds it before its helper
+    processes fork.
     """
     if base.reduction is None:
         base.reduction = _RestrictedReduction(base)
@@ -351,7 +357,7 @@ def _reduced_form(problem: SdpProblem) -> Optional[BlockSdp]:
 
     A rank-deficient A is left to the pair form: with b outside its range the
     elimination would solve a least-squares problem instead.  The reduction
-    and its SVD are built here, before the solve holds BLAS at one thread, as
+    and its QR are built here, before the solve holds BLAS at one thread, as
     a sweep builds them, so a sweep's cells get the same bits whichever
     solve builds them first.
     """

@@ -3,6 +3,7 @@ import pytest
 
 from sdpsketch.instances import default_pop_problem
 from sdpsketch.measures import (
+    GridDensity,
     MomentRecoveryError,
     MomentVector,
     density_grid,
@@ -167,7 +168,42 @@ class TestDensityGrid:
         assert marg.moments == {(0,): 1.0, (1,): 0.5, (2,): 0.5}
 
 
+def per_row_csv(grid: GridDensity) -> bytes:
+    """The reference writer: one numpy scalar at a time, through Python floats."""
+    dims = len(grid.axes)
+    lines = [",".join([f"x{i+1}" for i in range(dims)] + ["value"])]
+    flat = [g.ravel() for g in np.meshgrid(*grid.axes, indexing="ij")]
+    vals = grid.values.ravel()
+    for k in range(vals.size):
+        coords = ",".join(repr(float(f[k])) for f in flat)
+        lines.append(f"{coords},{repr(float(vals[k]))}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestWriters:
+    def test_csv_bytes_match_the_per_row_writer(self, tmp_path, rng):
+        two_d = MomentVector(
+            basis=monomial_basis(2, 1),
+            moments={(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5, (2, 0): 0.5,
+                     (1, 1): 0.25, (0, 2): 0.5},
+        )
+        grids = [
+            density_grid(delta_moments(0.3), monomial_basis(1, 1), [(-1.0, 1.0, 7)]),
+            density_grid(two_d, monomial_basis(2, 1), [(-1.0, 1.0, 3), (-0.5, 2.0, 5)]),
+            GridDensity(axes=[np.linspace(-1, 1, 3), np.linspace(0, 0.7, 4), np.array([0.1, 1e-7])],
+                        values=rng.random((3, 4, 2))),
+            # integer axes and float32 values: their numpy str differs from the float repr
+            GridDensity(axes=[np.arange(3), np.array([-2, 5])],
+                        values=np.array([[0.1, 0.2], [1 / 3, 0.0], [2.5e-8, 0.7]], dtype=np.float32)),
+            # shortest repr, subnormals and the sign of zero; %.17g differs on each
+            GridDensity(axes=[np.array([0.1, 0.1 + 0.2]), np.array([-0.0, 1e-300])],
+                        values=np.array([[5e-324, 1e-300], [0.1 + 0.2, -0.0]])),
+        ]
+        for k, grid in enumerate(grids):
+            path = tmp_path / f"grid{k}.csv"
+            grid.to_csv(path)
+            assert path.read_bytes() == per_row_csv(grid), k
+
     def test_csv_and_pgm(self, tmp_path):
         g = density_grid(
             MomentVector(

@@ -176,6 +176,34 @@ class TestPairForm:
         assert sol.objective == np.inf
 
 
+class TestComplementBasis:
+    def test_default_pop_basis_spans_the_svd_complement(self):
+        red = restricted_reduction(default_pop_problem())
+        a_mat, perp = red.a_mat, red.perp
+        dim, m = a_mat.shape
+        assert perp.shape == (dim, dim - m) == (637, 90)
+        assert np.abs(perp.T @ perp - np.eye(dim - m)).max() <= 1e-12
+        assert np.abs(a_mat.T @ perp).max() <= 1e-12
+        u, s, _ = np.linalg.svd(a_mat, full_matrices=True)
+        oracle = u[:, int(np.sum(s > 1e-11 * s[0])):]
+        assert np.abs(perp @ perp.T - oracle @ oracle.T).max() <= 1e-10
+
+    def test_duplicated_constraint_counts_once(self, rng):
+        prob = random_feasible_sdp(rng, 4, 7)
+        dup = SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
+                         a_svec=np.hstack([prob.a_svec, prob.a_svec[:, :1]]),
+                         rhs=np.append(prob.rhs, prob.rhs[0]))
+        dim, m = dup.a_svec.shape
+        perp = restricted_reduction(dup).perp
+        assert perp.shape == (dim, dim - m + 1)
+        assert np.abs(dup.a_svec.T @ perp).max() <= 1e-12
+
+    def test_no_constraints_gives_the_identity(self):
+        prob = SdpProblem(block_dims=(2, 3), cost_blocks=(np.eye(2), np.eye(3)),
+                          constraints=[], sense="min")
+        assert np.array_equal(restricted_reduction(prob).perp, np.eye(9))
+
+
 class TestFactorReuse:
     def test_x_and_z_are_factored_once_per_iterate(self, monkeypatch):
         # One Cholesky factor of X and Z per iterate serves Z^-1 and every
