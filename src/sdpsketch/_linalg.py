@@ -8,6 +8,7 @@ inner products of vectors equal Frobenius inner products of matrices.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import MutableMapping, Optional
 
 import numpy as np
 
@@ -53,18 +54,138 @@ def sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
-def max_step_psd(linv: np.ndarray, direction: np.ndarray) -> float:
+LANCZOS_STEPS = 10  # most Lanczos steps of one step length; smaller ranks take eigvalsh
+RITZ_TOLERANCE = 1e-3  # relative change of the smallest Ritz value over two steps
+STEP_MARGIN = 1e-2  # certified lower bound: theta - STEP_MARGIN * |theta|
+TRIANGULAR_BASE = 8  # largest diagonal block the blocked triangular inverse hands to inv
+
+
+def sampled_group(samples: int, rank: int) -> bool:
+    """Whether a group of `samples` rank-`rank` blocks takes the batched kernels
+    (Lanczos step lengths, the blocked triangular inverse).  The full pair's
+    one-matrix groups and groups of rank at most LANCZOS_STEPS do not."""
+    return samples > 1 and rank > LANCZOS_STEPS
+
+
+def max_step_psd(linv: np.ndarray, direction: np.ndarray,
+                 counts: Optional[MutableMapping[str, int]] = None) -> float:
     """Largest t with L L' + t*direction PSD, given linv = L^-1 for the lower
     Cholesky factor L of a positive definite matrix: -1/lambda_min(L^-1 D L^-T).
 
     On stacks, the smallest such t over the matrices.  Returns inf when no
     direction ever leaves the cone.
+
+    A (..., N, r, r) stack with sampled_group(N, r) gets t = -1/lam_lb from a
+    certified lower bound lam_lb <= lambda_min: a batched Lanczos gives the
+    smallest Ritz value theta >= lambda_min, and one batched Cholesky of
+    W - lam_lb I, lam_lb = theta - STEP_MARGIN |theta|, proves it.  That t
+    never exceeds the exact step and is at least 1 - STEP_MARGIN of it.  When
+    the Cholesky fails, the step is the exact one from eigvalsh, and
+    counts["step_fallbacks"] is incremented if a `counts` mapping is given.
+    Every other stack takes the exact eigvalsh step.
     """
-    W = linv @ direction @ np.swapaxes(linv, -1, -2)
-    lam = np.linalg.eigvalsh(sym(W))[..., 0].min()
+    W = sym(linv @ direction @ np.swapaxes(linv, -1, -2))
+    r = W.shape[-1]
+    lam = None
+    if sampled_group(W.shape[-3] if W.ndim > 2 else 1, r):
+        stack = W.reshape(-1, r, r)
+        theta = _smallest_ritz_value(stack)
+        lam = theta - STEP_MARGIN * abs(theta)
+        try:
+            factor = np.linalg.cholesky(stack - lam * np.eye(r))
+        except np.linalg.LinAlgError:
+            factor = None
+        # A NaN entry passes the Cholesky; it reaches each last diagonal entry.
+        if factor is None or not np.isfinite(factor[:, -1, -1]).all():
+            lam = None
+            if counts is not None:
+                counts["step_fallbacks"] += 1
+    if lam is None:
+        lam = np.linalg.eigvalsh(W)[..., 0].min()
     if lam >= 0.0:
         return np.inf
     return -1.0 / lam
+
+
+def _smallest_ritz_value(stack: np.ndarray) -> float:
+    """Smallest Ritz value over a (B, r, r) stack of symmetric matrices,
+    r > LANCZOS_STEPS, from a Lanczos process with full reorthogonalization
+    run on all of them at once.
+
+    The start vector is fixed, so the value depends on the stack alone.  The
+    Ritz values are checked every second step; the process stops when none
+    fell more than RITZ_TOLERANCE (relative) below the last smallest one, or
+    after LANCZOS_STEPS steps.  The value returned is then within that
+    tolerance above the smallest Ritz value, and every Ritz value is at least
+    the smallest eigenvalue of its matrix.
+    """
+    big_b, r, _ = stack.shape
+    steps = LANCZOS_STEPS
+    basis = np.zeros((big_b, steps, r))
+    start = np.linspace(1.0, 2.0, r)
+    basis[:, 0] = start / np.linalg.norm(start)
+    alpha = np.empty((big_b, steps))
+    beta = np.empty((big_b, steps))
+    for j in range(steps):
+        v = (stack @ basis[:, j, :, None])[..., 0]
+        # Gram-Schmidt against the whole basis: coef[:, j] is alpha_j
+        coef = (basis[:, :j + 1] @ v[..., None])[..., 0]
+        alpha[:, j] = coef[:, j]
+        v -= (coef[:, None, :] @ basis[:, :j + 1])[:, 0]
+        if j == 0:
+            theta = float(alpha[:, 0].min())
+        elif j % 2 == 0 or j == steps - 1:
+            lower = _tridiagonal_floor(alpha[:, :j + 1], beta[:, :j],
+                                       theta - RITZ_TOLERANCE * abs(theta))
+            if lower is None:
+                break
+            theta = lower
+        if j + 1 < steps:
+            beta[:, j] = np.sqrt(np.einsum("bi,bi->b", v, v))
+            # An exhausted Krylov space continues from zero: its Ritz
+            # values stay those of the matrix, plus zeros.
+            np.divide(v, beta[:, j, None], out=basis[:, j + 1], where=beta[:, j, None] > 0.0)
+    return theta
+
+
+def _tridiagonal_floor(alpha: np.ndarray, beta: np.ndarray, below: float) -> Optional[float]:
+    """Smallest eigenvalue over a batch of symmetric tridiagonals (diagonals
+    `alpha`, (B, j); off-diagonals `beta`, (B, j - 1)) if it is below `below`,
+    else None.  A Sturm sequence at `below` picks the tridiagonals with an
+    eigenvalue under it; only those are handed to eigvalsh."""
+    j = alpha.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pivot = alpha[:, 0] - below
+        under = pivot < 0.0
+        for i in range(1, j):
+            pivot = alpha[:, i] - below - beta[:, i - 1] ** 2 / pivot
+            under |= pivot < 0.0
+    rows = np.flatnonzero(under)
+    if rows.size == 0:
+        return None
+    tri = np.zeros((rows.size, j, j))
+    k = np.arange(j)
+    tri[:, k, k] = alpha[rows]
+    tri[:, k[1:], k[:-1]] = beta[rows]
+    return float(np.linalg.eigvalsh(tri)[:, 0].min())
+
+
+def tril_inv(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, or of each matrix of a stack, by
+    blocks: [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], halving
+    until a diagonal block has at most TRIANGULAR_BASE rows; those blocks go
+    to np.linalg.inv, so a matrix that small is inverted exactly as by inv."""
+    n = lower.shape[-1]
+    if n <= TRIANGULAR_BASE:
+        return np.linalg.inv(lower)
+    h = n // 2
+    a_inv = tril_inv(lower[..., :h, :h])
+    b_inv = tril_inv(lower[..., h:, h:])
+    out = np.zeros(lower.shape)
+    out[..., :h, :h] = a_inv
+    out[..., h:, h:] = b_inv
+    out[..., h:, :h] = -(b_inv @ (lower[..., h:, :h] @ a_inv))
+    return out
 
 
 def nullspace(mat: np.ndarray, rcond: float = 1e-11) -> np.ndarray:

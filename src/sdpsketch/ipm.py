@@ -11,6 +11,19 @@ array per block group of the row system (see conic).  X and Z are factored
 once per iterate, by the Cholesky test that accepts the step, on each
 group's (2, N, r, r) stack of X and Z; one batched inverse of the factors L
 gives Z^-1 = L_Z^-T L_Z^-1 and every step length, -1/lambda_min(L^-1 dS L^-T).
+A sampled group (N > 1 matrices of rank above _linalg.LANCZOS_STEPS) inverts
+its factors by blocked triangular inversion and replaces lambda_min by a
+certified lower bound: a batched Lanczos estimate moved down by 1 % of its
+size, proved by a Cholesky factorization of L^-1 dS L^-T minus the bound, or
+the exact eigenvalue when that fails.  Its steps therefore stay inside the
+cone and are never longer than the exact ones.  The full pair's one-matrix
+groups and groups of smaller rank (all of POC) take np.linalg.inv and
+eigvalsh, exactly as the exact method does.
+
+With `trace`, each row also counts the work of the step into its iterate:
+backtracks (0.8 cuts of the Cholesky acceptance test), lu_tries (regularized
+LU attempts of the Schur system) and step_fallbacks (exact eigenvalue
+fallbacks of a sampled group's step length).
 
 Embedding variables (X, w, Z, tau, kappa) satisfy at a solution:
     rows(X) - g tau           = 0
@@ -22,13 +35,14 @@ Embedding variables (X, w, Z, tau, kappa) satisfy at a solution:
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from ._linalg import max_step_psd, sym
+from ._linalg import max_step_psd, sampled_group, sym, tril_inv
 from .conic import ConicProgram
 
 OPTIMAL = "optimal"
@@ -56,8 +70,8 @@ class ConicResult:
     trace: list = field(default_factory=list)
 
 
-def _max_alpha(linvs, dX, dZ, tau, kappa, dtau, dkappa, fraction) -> float:
-    alpha = min((max_step_psd(li, np.stack((dx, dz))) for li, dx, dz in zip(linvs, dX, dZ)),
+def _max_alpha(linvs, dX, dZ, tau, kappa, dtau, dkappa, fraction, work) -> float:
+    alpha = min((max_step_psd(li, np.stack((dx, dz)), work) for li, dx, dz in zip(linvs, dX, dZ)),
                 default=np.inf)
     if dtau < 0:
         alpha = min(alpha, tau / (-dtau))
@@ -88,6 +102,7 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
     nu = sum(n * r for n, r in ops.groups) + 1.0
     # Lower Cholesky factors of each group's X and Z, stacked (2, N, r, r).
     factors = [np.linalg.cholesky(np.stack((x, z))) for x, z in zip(X, Z)]
+    inverses = [tril_inv if sampled_group(n, r) else np.linalg.inv for n, r in ops.groups]
 
     def cost_of(xb) -> float:
         return sum(float(np.vdot(db, x)) for db, x in zip(D, xb))
@@ -117,13 +132,18 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
     best_score = np.inf
     best_state = None
     last_alpha = 0.0
+    # Work of the step into each traced iterate: backtracks, lu_tries, step_fallbacks.
+    work = Counter() if trace else None
 
     for it in range(1, max_iterations + 1):
         pres, dres, gap, pobj, dobj = scaled_residuals()
         mu = (sum(float(np.vdot(x, z)) for x, z in zip(X, Z)) + tau * kappa) / nu
         if trace:
             trace_rows.append(dict(iteration=it, mu=mu, primal=pres, dual=dres,
-                                   gap=gap, step=last_alpha, tau=tau, kappa=kappa))
+                                   gap=gap, step=last_alpha, tau=tau, kappa=kappa,
+                                   backtracks=work["backtracks"], lu_tries=work["lu_tries"],
+                                   step_fallbacks=work["step_fallbacks"]))
+            work.clear()
         score = max(pres, dres, gap)
         if score < best_score:
             best_score = score
@@ -156,7 +176,7 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
                 break
 
         try:  # X or Z can pass Cholesky and still be singular in rounding
-            linvs = [np.linalg.inv(f) for f in factors]
+            linvs = [inv(f) for inv, f in zip(inverses, factors)]
             if not all(np.isfinite(li).all() for li in linvs):
                 raise np.linalg.LinAlgError("non-finite inverse")
         except np.linalg.LinAlgError:
@@ -200,6 +220,8 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
                 reg = REGULARIZATION if reg == 0.0 else reg * 10.0
                 if reg > 1e-2:
                     break
+                if work is not None:
+                    work["lu_tries"] += 1
         if lu is None:
             status = NUMERICAL_FAILURE
             break
@@ -235,7 +257,7 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
 
         zero_rho = [np.zeros(e.shape) for e in eyes]
         dXa, dwa, dZa, dtaua, dkappaa = newton_pass(zero_rho, 0.0)
-        alpha_a = _max_alpha(linvs, dXa, dZa, tau, kappa, dtaua, dkappaa, 1.0)
+        alpha_a = _max_alpha(linvs, dXa, dZa, tau, kappa, dtaua, dkappaa, 1.0, work)
         mu_aff = (
             sum(
                 float(np.vdot(x + alpha_a * dx, z + alpha_a * dz))
@@ -249,7 +271,7 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         rho_tk = sigma * mu - dtaua * dkappaa
         dX, dw, dZ, dtau, dkappa = newton_pass(rho_blocks, rho_tk)
 
-        alpha = _max_alpha(linvs, dX, dZ, tau, kappa, dtau, dkappa, STEP_FRACTION)
+        alpha = _max_alpha(linvs, dX, dZ, tau, kappa, dtau, dkappa, STEP_FRACTION, work)
         for _ in range(40):
             if tau + alpha * dtau > 0 and kappa + alpha * dkappa > 0:
                 step = [sym(np.stack((x + alpha * dx, z + alpha * dz)))
@@ -260,6 +282,8 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
                 except np.linalg.LinAlgError:
                     pass
             alpha *= 0.8
+            if work is not None:
+                work["backtracks"] += 1
         else:
             status = NUMERICAL_FAILURE
             break

@@ -1,15 +1,21 @@
+from collections import Counter
+
 import numpy as np
 from numpy.linalg import cholesky, inv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpsketch._linalg import (
+    LANCZOS_STEPS,
+    STEP_MARGIN,
+    TRIANGULAR_BASE,
     aggregate_congruence_operator,
     max_step_psd,
     nullspace,
     smat,
     svec,
     sym,
+    tril_inv,
 )
 
 
@@ -61,6 +67,73 @@ def test_max_step_psd_on_a_stack_is_inf_when_every_step_is():
     mats = np.stack([np.eye(3) * (k + 1) for k in range(4)])
     dirs = np.stack([g @ g.T for g in rng.standard_normal((4, 3, 3))])
     assert max_step_psd(inv(cholesky(mats)), dirs) == np.inf
+
+
+def spd_stack(rng, shape):
+    g = rng.standard_normal(shape)
+    return g @ np.swapaxes(g, -1, -2) + 0.1 * np.eye(shape[-1])
+
+
+def exact_step(linv, direction):
+    # The eigenvalue formula every group took before certified Lanczos steps.
+    lam = np.linalg.eigvalsh(sym(linv @ direction @ np.swapaxes(linv, -1, -2)))[..., 0].min()
+    return np.inf if lam >= 0.0 else -1.0 / lam
+
+
+def test_certified_step_stays_in_the_cone_and_near_the_exact_step():
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        s = spd_stack(rng, (2, 100, 25, 25))
+        d = sym(rng.standard_normal(s.shape))
+        counts = Counter()
+        t = max_step_psd(inv(cholesky(s)), d, counts)
+        t_exact = exact_step(inv(cholesky(s)), d)
+        assert counts["step_fallbacks"] == 0  # the Lanczos bound was certified
+        assert (1.0 - 2.0 * STEP_MARGIN) * t_exact <= t <= t_exact
+        assert np.linalg.eigvalsh(s + 0.999 * t * d)[..., 0].min() >= -1e-9
+
+
+def test_clustered_bottom_spectrum_takes_the_exact_step():
+    # Fifteen eigenvalues spread over [-1, -0.5] below ten large ones: ten
+    # Lanczos steps cannot bring the smallest Ritz value within STEP_MARGIN
+    # of -1, so the certificate fails and the step is the exact one.
+    rng = np.random.default_rng(12)
+    spectrum = np.concatenate((np.linspace(-1.0, -0.5, 15), np.linspace(10.0, 100.0, 10)))
+    q = np.linalg.qr(rng.standard_normal((2, 100, 25, 25)))[0]
+    d = sym((q * spectrum) @ np.swapaxes(q, -1, -2))
+    linv = np.broadcast_to(np.eye(25), d.shape)
+    counts = Counter()
+    t = max_step_psd(linv, d, counts)
+    assert counts["step_fallbacks"] == 1
+    assert t == exact_step(linv, d)
+
+
+def test_certified_step_is_inf_inside_the_cone():
+    rng = np.random.default_rng(13)
+    s = spd_stack(rng, (2, 100, 25, 25))
+    d = spd_stack(rng, s.shape)
+    assert max_step_psd(inv(cholesky(s)), d) == np.inf
+
+
+def test_one_matrix_and_small_rank_groups_take_the_exact_step():
+    rng = np.random.default_rng(14)
+    for shape in ((2, 1, 28, 28), (2, 1, 21, 21), (2, 100, LANCZOS_STEPS, LANCZOS_STEPS),
+                  (2, 100, 3, 3)):
+        linv = inv(cholesky(spd_stack(rng, shape)))
+        d = sym(rng.standard_normal(shape))
+        assert max_step_psd(linv, d) == exact_step(linv, d)
+
+
+def test_blocked_triangular_inverse_matches_inv():
+    rng = np.random.default_rng(15)
+    for shape in ((2, 100, 25, 25), (2, 1, 28, 28), (2, 100, 11, 11)):
+        factor = cholesky(spd_stack(rng, shape))
+        want = inv(factor)
+        got = tril_inv(factor)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    for n in range(1, TRIANGULAR_BASE + 1):
+        factor = cholesky(spd_stack(rng, (2, 100, n, n)))
+        assert np.array_equal(tril_inv(factor), inv(factor))
 
 
 def test_inverse_from_cholesky_factor_matches_solve():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdpsketch.control import compile_poc
-from sdpsketch import solver
+from sdpsketch import ipm, solver
 from sdpsketch._linalg import svec_dim
 from sdpsketch.instances import (
     default_poc_problem,
@@ -63,6 +63,35 @@ class TestBasics:
         text = path.read_text().splitlines()
         assert text[0].startswith("iteration,")
         assert len(text) == sol.iterations + 1
+
+    def test_trace_counts_the_work_of_each_step(self, rng, monkeypatch):
+        # One sampled group (N = 6 > 1, r = 12 > LANCZOS_STEPS).  Each Newton
+        # step factors its Schur system once plus lu_tries regularized times,
+        # and each step_fallback is one eigvalsh of a whole (2, N, r, r) stack.
+        prob = random_feasible_sdp(rng, 14, 20)
+        bs = restrict_dual(prob, ensembles_for_problem(prob, 12, 6, 0))
+        lu_calls, stack_eigs = [], []
+        real_lu, real_eig = ipm.lu_factor, np.linalg.eigvalsh
+
+        def counting_lu(*args, **kwargs):
+            lu_calls.append(1)
+            return real_lu(*args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            if np.ndim(a) == 4:
+                stack_eigs.append(1)
+            return real_eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(ipm, "lu_factor", counting_lu)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        sol = solve(bs, SolverConfig(keep_trace=True))
+        assert sol.status == Status.Optimal
+        rows = sol.trace
+        assert all(isinstance(row[key], int) and row[key] >= 0 for row in rows
+                   for key in ("backtracks", "lu_tries", "step_fallbacks"))
+        assert rows[0]["lu_tries"] == rows[0]["backtracks"] == rows[0]["step_fallbacks"] == 0
+        assert sum(row["lu_tries"] for row in rows) == len(lu_calls) - (len(rows) - 1)
+        assert sum(row["step_fallbacks"] for row in rows) == len(stack_eigs)
 
     def test_optimal_blocks_nearly_psd(self, rng):
         for k in range(5):
