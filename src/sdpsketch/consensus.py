@@ -65,7 +65,7 @@ class _Group:
     def __init__(self, ens):
         self.n = ens.n
         self.r = ens.r
-        self.ut = ens.transposed_stack()  # (N, r, n): U_i'
+        self.ut = ens.ut  # (N, r, n): U_i'
         self.chunks = _split(ens.N, min(ens.N, CHUNKS_PER_ENSEMBLE))
         self.x = self.w = self.lam = None  # shared views, set by _Workspace
 

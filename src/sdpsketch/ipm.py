@@ -274,7 +274,8 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         alpha = _max_alpha(linvs, dX, dZ, tau, kappa, dtau, dkappa, STEP_FRACTION, work)
         for _ in range(40):
             if tau + alpha * dtau > 0 and kappa + alpha * dkappa > 0:
-                step = [sym(np.stack((x + alpha * dx, z + alpha * dz)))
+                # exactly symmetric, as X, Z, dX and dZ are (D and the adjoint are)
+                step = [np.stack((x + alpha * dx, z + alpha * dz))
                         for x, dx, z, dz in zip(X, dX, Z, dZ)]
                 try:
                     factors = [np.linalg.cholesky(s) for s in step]

@@ -6,6 +6,9 @@ only drop), project_primal imposes PSD only on U_i' X U_i (a relaxation).
 The two are conic duals of each other, so the solver solves a projected
 primal as its restricted dual and reads X off that problem's multipliers.
 
+An ensemble is one read-only (N, r, n) stack of the U_i', generated and
+extended stacked, with one random stream per sample for each extension.
+
 A BlockSdp document either embeds its base problem ("base") or names a
 base file next to it ("base_ref", checked against "base_sha256"); many
 restrictions of one base then share one file.  The base's constraint
@@ -31,34 +34,45 @@ from .sos import SdpProblem
 _EXTEND_STREAM = 9650218  # namespace tag for nested-extension RNG streams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubspaceEnsemble:
-    """N sampled projection matrices U_i of shape (n, r), seed-reproducible."""
+    """N projection matrices U_i of shape (n, r), seed-reproducible, given as
+    (n, r) matrices or an (N, n, r) array and held once, as `ut`: the read-only,
+    C-contiguous (N, r, n) stack of the U_i'.  `matrices` is its (N, n, r) view."""
 
     n: int
     r: int
     N: int
     seed: int
     orthonormal: bool
-    matrices: Tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    ut: np.ndarray = field(init=False, compare=False, repr=False)
     lineage: Tuple[int, ...] = ()
     nested_of: Optional["SubspaceEnsemble"] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        for u in self.matrices:
-            if u.shape != (self.n, self.r):
-                raise ValueError(f"ensemble matrix has shape {u.shape}, expected {(self.n, self.r)}")
-        stack = np.stack(self.matrices)
-        if np.linalg.svd(stack, compute_uv=False)[:, -1].min() <= 1e-10:
-            raise ValueError("sampled subspace matrix is numerically rank deficient")
-        if self.orthonormal:
-            err = np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(self.r)).max()
-            if err > 1e-12:
+    def __init__(self, n, r, N, seed, orthonormal, matrices, lineage=(), nested_of=None):
+        stack = np.asarray(matrices, dtype=float)
+        if stack.shape != (N, n, r):
+            raise ValueError(f"ensemble matrices have shape {stack.shape}, expected {(N, n, r)}")
+        ut = np.array(stack.transpose(0, 2, 1), order="C")
+        if orthonormal:  # orthonormal columns are of full rank
+            err = np.abs(ut @ stack - np.eye(r)).max()
+            if not err <= 1e-12:
                 raise ValueError(f"orthonormality violated by {err:.2e}")
+        elif np.linalg.svd(ut, compute_uv=False)[:, -1].min() <= 1e-10:
+            raise ValueError("sampled subspace matrix is numerically rank deficient")
+        ut.flags.writeable = False
+        for name, value in dict(n=n, r=r, N=N, seed=seed, orthonormal=orthonormal, ut=ut,
+                                lineage=tuple(lineage), nested_of=nested_of).items():
+            object.__setattr__(self, name, value)
 
-    def transposed_stack(self) -> np.ndarray:
-        """The C-contiguous (N, r, n) stack of the U_i'."""
-        return np.ascontiguousarray(np.stack(self.matrices).transpose(0, 2, 1))
+    def __setstate__(self, state):  # unpickled arrays come back writeable
+        state["ut"].flags.writeable = False
+        self.__dict__.update(state)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (N, n, r) stack of the U_i, a read-only view of `ut`."""
+        return self.ut.transpose(0, 2, 1)
 
     # Serialization stores only the recipe; matrices are regenerated.
     def to_json_dict(self) -> dict:
@@ -85,9 +99,9 @@ class SubspaceEnsemble:
 
 def _orth_columns(mat: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(mat)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[:, None, :]
 
 
 def sample_ensemble(n: int, r: int, N: int, seed: int, orthonormal: bool = True) -> SubspaceEnsemble:
@@ -101,40 +115,35 @@ def sample_ensemble(n: int, r: int, N: int, seed: int, orthonormal: bool = True)
         raise ValueError(f"rank r={r} must satisfy 1 <= r <= n={n}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(N):
-        u = rng.standard_normal((n, r))
-        if orthonormal:
-            u = _orth_columns(u)
-        mats.append(u)
-    return SubspaceEnsemble(
-        n=n, r=r, N=N, seed=int(seed), orthonormal=orthonormal,
-        matrices=tuple(mats), lineage=(r,),
-    )
+    mats = np.random.default_rng(seed).standard_normal((N, n, r))
+    if orthonormal:
+        mats = _orth_columns(mats)
+    return SubspaceEnsemble(n=n, r=r, N=N, seed=int(seed), orthonormal=orthonormal,
+                            matrices=mats, lineage=(r,))
 
 
 def extend_ensemble(parent: SubspaceEnsemble, r_new: int) -> SubspaceEnsemble:
-    """Append fresh columns so spans nest; first r columns are the parent's."""
+    """Append fresh columns so spans nest; first r columns are the parent's.
+    Sample i draws them from its own generator, seeded by (seed, _EXTEND_STREAM, i, r)."""
     if r_new <= parent.r:
         raise ValueError("r_new must exceed the parent rank")
     if r_new > parent.n:
         raise ValueError(f"r_new={r_new} exceeds ambient dimension n={parent.n}")
-    mats = []
     extra = r_new - parent.r
-    for i, u_old in enumerate(parent.matrices):
-        rng = np.random.default_rng((parent.seed, _EXTEND_STREAM, i, parent.r))
-        fresh = rng.standard_normal((parent.n, extra))
-        if parent.orthonormal:
-            # two projection passes keep the joint frame orthonormal to
-            # machine precision across long nesting chains
-            for _ in range(2):
-                fresh = fresh - u_old @ (u_old.T @ fresh)
-                fresh = _orth_columns(fresh)
-        mats.append(np.hstack([u_old, fresh]))
+    fresh = np.stack([np.random.default_rng((parent.seed, _EXTEND_STREAM, i, parent.r))
+                      .standard_normal((parent.n, extra)) for i in range(parent.N)])
+    # Computed on a C-contiguous (N, n, r) U: products through the transposed
+    # layout of `ut` round differently.
+    u_old = np.ascontiguousarray(parent.matrices)
+    if parent.orthonormal:
+        # two projection passes keep the joint frame orthonormal to
+        # machine precision across long nesting chains
+        for _ in range(2):
+            fresh = fresh - u_old @ (u_old.transpose(0, 2, 1) @ fresh)
+            fresh = _orth_columns(fresh)
     return SubspaceEnsemble(
         n=parent.n, r=r_new, N=parent.N, seed=parent.seed,
-        orthonormal=parent.orthonormal, matrices=tuple(mats),
+        orthonormal=parent.orthonormal, matrices=np.concatenate((u_old, fresh), axis=2),
         lineage=parent.lineage + (r_new,), nested_of=parent,
     )
 
@@ -145,26 +154,20 @@ def ensembles_for_problem(
     """Per-block ensembles at effective rank min(r, n_b); blocks of equal
     dimension share one ensemble."""
     shared = {}
-    out = []
     for n_b in base.block_dims:
-        r_eff = min(r, n_b)
-        key = (n_b, r_eff)
-        if key not in shared:
-            shared[key] = sample_ensemble(n_b, r_eff, N, seed, orthonormal=orthonormal)
-        out.append(shared[key])
-    return out
+        if n_b not in shared:
+            shared[n_b] = sample_ensemble(n_b, min(r, n_b), N, seed, orthonormal=orthonormal)
+    return [shared[n_b] for n_b in base.block_dims]
 
 
 def extend_ensembles(parents: Sequence[SubspaceEnsemble], r_new: int) -> List[SubspaceEnsemble]:
+    """Each distinct parent extended once, to rank min(r_new, n)."""
     cache = {}
-    out = []
     for ens in parents:
-        r_eff = min(r_new, ens.n)
-        key = (id(ens), r_eff)
-        if key not in cache:
-            cache[key] = ens if r_eff <= ens.r else extend_ensemble(ens, r_eff)
-        out.append(cache[key])
-    return out
+        if id(ens) not in cache:
+            r_eff = min(r_new, ens.n)
+            cache[id(ens)] = ens if r_eff <= ens.r else extend_ensemble(ens, r_eff)
+    return [cache[id(ens)] for ens in parents]
 
 
 @dataclass
@@ -174,14 +177,16 @@ class BlockSdp:
     primal cone to the sampled projections."""
 
     base: SdpProblem
-    ensembles: List[SubspaceEnsemble]
+    ensembles: List[SubspaceEnsemble]  # or one ensemble for every block
     kind: str = "restricted_dual"
 
     def __post_init__(self):
         if self.kind not in ("restricted_dual", "projected_primal"):
             raise ValueError(f"unknown BlockSdp kind {self.kind!r}")
-        if len(self.ensembles) == 1 and self.base.num_blocks > 1:
-            self.ensembles = list(self.ensembles) * self.base.num_blocks
+        one = isinstance(self.ensembles, SubspaceEnsemble)
+        self.ensembles = [self.ensembles] if one else list(self.ensembles)
+        if len(self.ensembles) == 1:
+            self.ensembles *= self.base.num_blocks
         if len(self.ensembles) != self.base.num_blocks:
             raise ValueError("need one ensemble per base block")
         for ens, n_b in zip(self.ensembles, self.base.block_dims):
@@ -283,16 +288,12 @@ def load_problem(path) -> Union[SdpProblem, BlockSdp]:
 
 def restrict_dual(base: SdpProblem, ensembles) -> BlockSdp:
     """Restrict the dual reading: S_b becomes sum_i U_{b,i} S_{b,i} U_{b,i}'."""
-    if isinstance(ensembles, SubspaceEnsemble):
-        ensembles = [ensembles]
-    return BlockSdp(base=base, ensembles=list(ensembles), kind="restricted_dual")
+    return BlockSdp(base=base, ensembles=ensembles, kind="restricted_dual")
 
 
 def project_primal(base: SdpProblem, ensembles) -> BlockSdp:
     """Relax the primal reading: X_b free symmetric, PSD only on U' X U."""
-    if isinstance(ensembles, SubspaceEnsemble):
-        ensembles = [ensembles]
-    return BlockSdp(base=base, ensembles=list(ensembles), kind="projected_primal")
+    return BlockSdp(base=base, ensembles=ensembles, kind="projected_primal")
 
 
 def lift_dual_certificate(blocks: Sequence[np.ndarray], ens: SubspaceEnsemble) -> np.ndarray:
@@ -302,14 +303,11 @@ def lift_dual_certificate(blocks: Sequence[np.ndarray], ens: SubspaceEnsemble) -
     if stack.shape != (ens.N, ens.r, ens.r):
         raise ValueError(f"got blocks of shape {stack.shape} for an ensemble of "
                          f"N={ens.N} blocks of shape {(ens.r, ens.r)}")
-    return sym(lift_congruence(ens.transposed_stack(), sym(stack)))
+    return sym(lift_congruence(ens.ut, sym(stack)))
 
 
 def lift_blocks(bs: BlockSdp, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Per-base-block lifts of a solution's per-sample block list."""
-    out = []
-    start = 0
-    for ens in bs.ensembles:
-        out.append(lift_dual_certificate(blocks[start:start + ens.N], ens))
-        start += ens.N
-    return out
+    ends = np.cumsum([ens.N for ens in bs.ensembles])
+    return [lift_dual_certificate(blocks[end - ens.N:end], ens)
+            for ens, end in zip(bs.ensembles, ends)]

@@ -182,7 +182,7 @@ def _conic_from_pair(problem: SdpProblem) -> ConicProgram:
     return ConicProgram(
         ops=DenseRows(problem.block_dims, [seg.T for seg in problem.segments(problem.a_svec)]),
         rhs=problem.rhs,
-        block_costs=[c[None] for c in problem.cost_blocks],
+        block_costs=[sym(c)[None] for c in problem.cost_blocks],
         gap_offset=problem.obj_offset,
     )
 
@@ -259,7 +259,7 @@ def restricted_reduction(base: SdpProblem) -> _RestrictedReduction:
 def _conic_from_restricted(bs: BlockSdp, red: _RestrictedReduction) -> ConicProgram:
     ops = ProjectedRows(
         base_dims=bs.base.block_dims,
-        ut_stacks=[ens.transposed_stack() for ens in bs.ensembles],
+        ut_stacks=[ens.ut for ens in bs.ensembles],
         row_segments=red.row_segments,
     )
     costs = [sym(restrict_congruence(ut, w))
@@ -489,7 +489,7 @@ def kkt_residuals(problem: Union[SdpProblem, BlockSdp], solution: Solution) -> K
         solution.moment_matrices
         or _mats_from_plain_upper(solution.eq_multipliers, base)
     )
-    projections = [restrict_congruence(ens.transposed_stack(), x)
+    projections = [restrict_congruence(ens.ut, x)
                    for ens, x in zip(problem.ensembles, x_mats)]
     viol = _cone_violation(projections)
     return _pair_residuals(base, solution.free_vars, lifts, x_mats, viol)

@@ -6,19 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from sdpsketch._linalg import svec
+from sdpsketch._linalg import svec, sym
+from sdpsketch.consensus import _Group
 from sdpsketch.instances import random_feasible_sdp
 from sdpsketch.polynomial import monomial_basis, parse_polynomial
 from sdpsketch.sketch import (
     BlockSdp,
     SubspaceEnsemble,
+    _EXTEND_STREAM,
     extend_ensemble,
     lift_dual_certificate,
     project_primal,
     restrict_dual,
     sample_ensemble,
 )
-from sdpsketch.solver import Status, solve
+from sdpsketch.solver import (
+    Status,
+    _conic_from_pair,
+    _conic_from_restricted,
+    _reduced_form,
+    restricted_reduction,
+    solve,
+)
 from sdpsketch.sos import SdpProblem, compile_pop
 
 
@@ -68,6 +77,141 @@ class TestSampling:
         back = SubspaceEnsemble.from_json_dict(ens.to_json_dict())
         for ua, ub in zip(ens.matrices, back.matrices):
             assert np.array_equal(ua, ub)
+
+
+def _loop_orth(u):
+    q, r = np.linalg.qr(u)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+def loop_sample(n, r, N, seed, orthonormal=True):
+    """Reference: one draw, QR and sign fix per sample."""
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((n, r)) for _ in range(N)]
+    return [_loop_orth(u) for u in mats] if orthonormal else mats
+
+
+def loop_extend(mats, r_new, seed, orthonormal=True):
+    """Reference: the per-sample extension, with its own generator per sample."""
+    out = []
+    for i, u_old in enumerate(mats):
+        n, r = u_old.shape
+        fresh = np.random.default_rng((seed, _EXTEND_STREAM, i, r)).standard_normal((n, r_new - r))
+        if orthonormal:
+            for _ in range(2):
+                fresh = fresh - u_old @ (u_old.T @ fresh)
+                fresh = _loop_orth(fresh)
+        out.append(np.hstack([u_old, fresh]))
+    return out
+
+
+DEFAULT_RANKS = (1, 3, 6, 9, 11, 14, 17, 19, 22, 25)
+
+
+class TestStackedGeneration:
+    """The stacked sampler and extension give the per-sample loop's bits."""
+
+    @staticmethod
+    def assert_chain_matches(n, ranks, N, seed, orthonormal=True):
+        ens = sample_ensemble(n, ranks[0], N, seed, orthonormal=orthonormal)
+        ref = loop_sample(n, ranks[0], N, seed, orthonormal)
+        assert np.array_equal(ens.matrices, np.stack(ref))
+        for r in ranks[1:]:
+            ens = extend_ensemble(ens, r)
+            ref = loop_extend(ref, r, seed, orthonormal)
+            assert np.array_equal(ens.matrices, np.stack(ref)), (n, r, seed)
+        return ens
+
+    @pytest.mark.parametrize("n", [28, 21])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_nested_chains(self, n, seed):
+        ranks = sorted({min(r, n) for r in DEFAULT_RANKS})
+        self.assert_chain_matches(n, ranks, 100, seed)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_poc_sizes(self, n):
+        for seed in range(3):
+            for r in range(1, n + 1):
+                self.assert_chain_matches(n, list(range(r, n + 1)), 100, seed)
+
+    def test_raw_gaussian_chain(self):
+        self.assert_chain_matches(12, [1, 3, 6, 9, 11], 50, 4, orthonormal=False)
+
+    def test_ten_rank_lineage_round_trip(self):
+        ens = self.assert_chain_matches(28, list(DEFAULT_RANKS), 100, 2)
+        back = SubspaceEnsemble.from_json_dict(ens.to_json_dict())
+        assert back == ens and back.lineage == DEFAULT_RANKS
+        assert np.array_equal(back.ut, ens.ut)
+
+    def test_constructor_takes_matrices_or_a_stack(self):
+        mats = loop_sample(5, 2, 3, seed=1)
+        a = fixed_ensemble(mats)
+        b = SubspaceEnsemble(n=5, r=2, N=3, seed=0, orthonormal=True, matrices=np.stack(mats))
+        assert a == b and hash(a) == hash(b)
+        assert np.array_equal(a.ut, np.stack([u.T for u in mats]))
+        with pytest.raises(ValueError, match="shape"):
+            SubspaceEnsemble(n=5, r=2, N=2, seed=0, orthonormal=True, matrices=mats)
+        with pytest.raises(ValueError, match="rank deficient"):
+            fixed_ensemble([np.ones((5, 2))], orthonormal=False)
+        with pytest.raises(ValueError, match="orthonormality"):
+            fixed_ensemble([2.0 * u for u in mats])
+
+
+class TestOneLayout:
+    def two_block_base(self):
+        a = (np.eye(3), np.diag([1.0, 2.0]))
+        return SdpProblem(block_dims=(3, 2), cost_blocks=(np.eye(3), np.eye(2)),
+                          constraints=[(a, 1.0)], sense="min")
+
+    def test_rows_and_consensus_read_the_stored_stack(self):
+        base = self.two_block_base()
+        ensembles = [sample_ensemble(3, 2, 4, seed=1), sample_ensemble(2, 1, 5, seed=2)]
+        bs = restrict_dual(base, ensembles)
+        ops = _conic_from_restricted(bs, restricted_reduction(base)).ops
+        for ens, ut in zip(ensembles, ops.ut_stacks):
+            assert np.shares_memory(ut, ens.ut)
+            assert np.shares_memory(_Group(ens).ut, ens.ut)
+            assert ens.ut.flags.c_contiguous and ens.ut.shape == (ens.N, ens.r, ens.n)
+            assert not ens.ut.flags.writeable and not ens.matrices.flags.writeable
+            assert np.shares_memory(ens.matrices, ens.ut)
+            with pytest.raises(ValueError):
+                ens.matrices[0, 0, 0] = 1.0
+            assert not pickle.loads(pickle.dumps(ens)).ut.flags.writeable
+
+
+class TestConicCosts:
+    @staticmethod
+    def skewed(prob, symmetrize=False):
+        """prob with a 1e-15 skew in its cost block, or that block's symmetric part."""
+        c = prob.cost_blocks[0].copy()
+        c[0, 1] += 1e-15
+        return SdpProblem(block_dims=prob.block_dims, cost_blocks=(sym(c) if symmetrize else c,),
+                          constraints=prob.constraints, sense=prob.sense)
+
+    @staticmethod
+    def assert_symmetric(prog):
+        for c in prog.block_costs:
+            assert np.array_equal(c, np.swapaxes(c, -1, -2))
+
+    def test_pair_form(self, rng):
+        prob = random_feasible_sdp(rng, 5, 3)
+        skewed, twin = self.skewed(prob), self.skewed(prob, symmetrize=True)
+        assert not np.array_equal(skewed.cost_blocks[0], skewed.cost_blocks[0].T)
+        assert _reduced_form(skewed) is None
+        for p in (prob, skewed, twin):
+            self.assert_symmetric(_conic_from_pair(p))
+        assert solve(skewed).status == solve(twin).status == Status.Optimal
+
+    def test_reduced_form_and_restriction(self, rng):
+        skewed = self.skewed(random_feasible_sdp(rng, 3, 4))
+        reduced = _reduced_form(skewed)
+        assert reduced is not None
+        red = restricted_reduction(skewed)
+        self.assert_symmetric(_conic_from_restricted(reduced, red))
+        bs = restrict_dual(skewed, sample_ensemble(3, 2, 4, seed=5))
+        self.assert_symmetric(_conic_from_restricted(bs, red))
 
 
 class TestNesting:
