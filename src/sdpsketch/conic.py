@@ -124,8 +124,9 @@ class ConicProgram:
     """min <D, S>  s.t.  ops(S) = g,  S PSD blocks; D holds one (N, r, r) array per group.
 
     gap_offset/gap_flip describe how the caller's objective relates to the
-    internal one (user = gap_offset - internal when flipped, + otherwise) so
-    the duality-gap stopping rule is measured on the caller's scale.
+    internal one (see user_objective), so the duality-gap stopping rule is
+    measured on the caller's scale.  gap_flip is set exactly when this
+    program's primal is the max side of the caller's pair.
     """
 
     ops: RowOps
@@ -137,3 +138,7 @@ class ConicProgram:
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.block_costs = [np.asarray(c, dtype=float) for c in self.block_costs]
+
+    def user_objective(self, internal: float) -> float:
+        """The caller's objective value of an internal one, primal or dual."""
+        return self.gap_offset - internal if self.gap_flip else self.gap_offset + internal

@@ -40,8 +40,8 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 from ._blas import limit_blas_threads
 from ._linalg import congruence_band, congruence_rows, sym
 from ._team import Arena, Team
-from .sketch import BlockSdp
-from .solver import Solution, Status, _finish, _restricted_solution, restricted_reduction
+from .sketch import BlockSdp, lift_blocks
+from .solver import Solution, Status, _finish, _solution, _unstack
 
 # Fixed partitions of the parallel work.  None depends on the worker count,
 # so neither does any rounding error.
@@ -311,7 +311,7 @@ def solve_consensus(problem: BlockSdp, config) -> Solution:
     if not isinstance(problem, BlockSdp) or problem.kind != "restricted_dual":
         raise TypeError("consensus mode expects a restricted-dual BlockSdp")
     t_start = time.perf_counter()
-    red = restricted_reduction(problem.base)
+    red = problem.base.reduction
     with limit_blas_threads(1):
         ws = _Workspace([_Group(ens) for ens in problem.ensembles], problem.base.offsets,
                         red.a_mat, config.workers)
@@ -372,8 +372,8 @@ def _solve(problem: BlockSdp, config, red, ws: _Workspace, t_start: float) -> So
 
     ws.team.stop()  # the helpers exit while the caller finishes up
     # The primal-side objective estimate converges fastest.
-    sol = _restricted_solution(problem, red, status,
-                               base.primal_cost(x_mats) + base.obj_offset,
-                               [-sym(grp.lam) for grp in ws.groups], x_mats)
+    slacks = _unstack([-sym(grp.lam) for grp in ws.groups])
+    sol = _solution(problem, status, base.primal_cost(x_mats) + base.obj_offset,
+                    red.recover_y(lift_blocks(problem, slacks)), x_mats, slacks)
     trace = [{"iteration": k + 1, "residual": v} for k, v in enumerate(history)]
     return _finish(sol, problem, config, it, trace, t_start)

@@ -44,7 +44,7 @@ from .sketch import (
     load_problem,
     restrict_dual,
 )
-from .solver import SolverConfig, Solution, Status, restricted_reduction, solve
+from .solver import SolverConfig, Solution, Status, check_mode, solve
 from .sos import SdpProblem, compile_pop
 
 
@@ -74,10 +74,11 @@ class ExperimentConfig:
         for name in ("samples", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_mode(self.mode)
 
     def solver_config(self) -> SolverConfig:
         """The IPM, or consensus with `jobs` as its worker count."""
-        if self.mode in ("interior_point", "ipm"):
+        if self.mode != "consensus":
             return SolverConfig(tolerance=self.tolerance)
         return SolverConfig(tolerance=self.tolerance, mode="consensus", workers=self.jobs)
 
@@ -198,7 +199,7 @@ def run_rank_sweep(cfg: ExperimentConfig, write: bool = True,
     cells = _build_cells(base, cfg)
     ipm = solver_cfg.mode != "consensus"
     if ipm:  # built in the caller before the team forks: one QR, alike at every `jobs`
-        restricted_reduction(base).row_segments
+        base.reduction.row_segments
     statuses = list(Status)
     rows = Arena([(len(cells), 4)]).arrays[0]  # status, objective, iterations, wall
 

@@ -118,9 +118,8 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         dres = s_c * np.sqrt(dn2) / (1.0 + s_c * c_scaled)
         pobj = cost_of(xh) * s_c * s_g
         dobj = float(g @ wh) * s_c * s_g
-        sign = -1.0 if prog.gap_flip else 1.0
-        pu = prog.gap_offset + sign * pobj
-        du = prog.gap_offset + sign * dobj
+        pu = prog.user_objective(pobj)
+        du = prog.user_objective(dobj)
         gap = abs(pu - du) / (1.0 + abs(pu) + abs(du))
         return pres, dres, gap, pobj, dobj
 

@@ -47,9 +47,8 @@ class SubspaceEnsemble:
     orthonormal: bool
     ut: np.ndarray = field(init=False, compare=False, repr=False)
     lineage: Tuple[int, ...] = ()
-    nested_of: Optional["SubspaceEnsemble"] = field(default=None, compare=False, repr=False)
 
-    def __init__(self, n, r, N, seed, orthonormal, matrices, lineage=(), nested_of=None):
+    def __init__(self, n, r, N, seed, orthonormal, matrices, lineage=()):
         stack = np.asarray(matrices, dtype=float)
         if stack.shape != (N, n, r):
             raise ValueError(f"ensemble matrices have shape {stack.shape}, expected {(N, n, r)}")
@@ -62,7 +61,7 @@ class SubspaceEnsemble:
             raise ValueError("sampled subspace matrix is numerically rank deficient")
         ut.flags.writeable = False
         for name, value in dict(n=n, r=r, N=N, seed=seed, orthonormal=orthonormal, ut=ut,
-                                lineage=tuple(lineage), nested_of=nested_of).items():
+                                lineage=tuple(lineage)).items():
             object.__setattr__(self, name, value)
 
     def __setstate__(self, state):  # unpickled arrays come back writeable
@@ -144,7 +143,7 @@ def extend_ensemble(parent: SubspaceEnsemble, r_new: int) -> SubspaceEnsemble:
     return SubspaceEnsemble(
         n=parent.n, r=r_new, N=parent.N, seed=parent.seed,
         orthonormal=parent.orthonormal, matrices=np.concatenate((u_old, fresh), axis=2),
-        lineage=parent.lineage + (r_new,), nested_of=parent,
+        lineage=parent.lineage + (r_new,),
     )
 
 

@@ -3,41 +3,41 @@
 solve() accepts an SdpProblem (the canonical pair) or a BlockSdp (restricted
 dual / projected primal) and returns a Solution whose fields always mean:
 
-  free_vars       the dual vector y of the pair,
-  psd_blocks      the problem's own cone variables (Gram/restricted blocks
-                  for max-sense problems, primal blocks for min-sense pairs),
-  eq_multipliers  multipliers of the problem's equality system; for max-sense
-                  and block problems these are the entries of the
-                  moment-side matrix (upper triangle, row-major, unscaled).
+  free_vars        y of the pair;  moment_matrices  its moment-side X,
+  psd_blocks       S (a BlockSdp's per-sample S_i) in the max sense, else X,
+  eq_multipliers   y in the min sense, else X's upper triangle (row-major),
+  dual_slacks      S, for a pair only.
 
-Statuses and +/-inf objectives follow the problem sense.
-
-The projected primal is the conic dual of the restricted dual, so it is
-solved as that restricted dual, in either mode, with Infeasible and
-Unbounded swapped: its X is in moment_matrices, y in free_vars, and
-psd_blocks and certificate hold the restricted dual's S_i and certificate.
-Every BlockSdp is thus solved, and its KKT residuals replayed, in one layout.
-
-Inside, the interior-point solver holds each block group as one (N, r, r)
-array (see conic): one group of N samples per ensemble of a BlockSdp, one
-group of size 1 per block of the pair.  The Solution is unstacked once, so
-its block lists hold one matrix per sample or block.
+One rule reads every interior-point result.  A layout's conic program (see
+conic) has as its primal one side of the problem's pair: the min side in the
+pair form, the max side (gap_flip set) in a restricted dual.  If the
+problem's sense is the other side, Infeasible and Unbounded swap and the
+objective is the conic dual's, not the primal's; ConicProgram.user_objective
+maps it to the problem's scale.  An Infeasible or Unbounded problem has the
+infinite objective of its sense and a certificate: a pair's own ray in
+either form, {"w": y, "z_blocks": Z} with b'y > 0 and sum_j y_j A_j + Z = 0,
+or {"x_blocks": X} with A(X) = 0 and <C, X> < 0 (Z, X PSD); a BlockSdp's
+restricted dual's ray, per sample, with w in complement-basis coordinates.
 
 The pair is solved in whichever form has fewer Schur rows (Lofberg 2009,
 "Dualize it").  With m constraints on blocks of total svec dimension d, the
 pair form has m rows; the reduced form, the pair's restricted dual over one
 identity ensemble per block (N = 1, U = I), which eliminates y, has d - m.
-So a pair with 2m > d is solved reduced, through the same restricted_reduction
-and Solution assembly as every BlockSdp, unless A has rank below m: then b
+So a pair with 2m > d is solved reduced, unless A has rank below m: then b
 may lie outside A's range, and the elimination would solve a least-squares
-problem, so the pair form solves it.  Either way the Solution fields mean
-what the list above says for the pair's sense.
+problem, so the pair form solves it.
+
+The projected primal is the conic dual of the restricted dual, so it is
+solved, in either mode, as that restricted dual, whose Solution it reports
+with the status read on the min side.  One function builds every Solution
+not certified Infeasible or Unbounded, for both solvers.  Block groups are
+(N, r, r) arrays inside the IPM (see conic) and are unstacked once, so a
+Solution's block lists hold one matrix per sample or block.
 
 Every layout reads the base problem's one svec constraint matrix a_svec:
-the pair form as DenseRows row segments, each restricted dual (the reduced
-pair included) through the elimination data built from it once per base
-problem (restricted_reduction, shared with the consensus solver), and the
-KKT replay through the problem's dual_slack and constraint_values.
+the pair form as DenseRows row segments, each restricted dual through the
+problem's elimination data (SdpProblem.reduction, shared with the consensus
+solver), and the KKT replay through dual_slack and constraint_values.
 """
 
 from __future__ import annotations
@@ -47,11 +47,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
 
 from ._blas import limit_blas_threads
 from ._linalg import restrict_congruence, sym, triu_indices
@@ -65,13 +63,7 @@ from .ipm import (
     ConicResult,
     solve_conic,
 )
-from .sketch import (
-    BlockSdp,
-    SubspaceEnsemble,
-    lift_blocks,
-    lift_dual_certificate,
-    restrict_dual,
-)
+from .sketch import BlockSdp, SubspaceEnsemble, lift_blocks, restrict_dual
 from .sos import SdpProblem
 
 
@@ -83,11 +75,19 @@ class Status(Enum):
     NumericalFailure = "NumericalFailure"
 
 
+MODES = ("interior_point", "ipm", "consensus")  # the first two name the same solver
+
+
+def check_mode(mode) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(map(repr, MODES))}, got {mode!r}")
+
+
 @dataclass
 class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 200
-    mode: str = "interior_point"  # or "consensus"
+    mode: str = "interior_point"  # see MODES
     trace_path: Optional[str] = None
     keep_trace: bool = False
     # consensus-mode knobs
@@ -95,6 +95,9 @@ class SolverConfig:
     workers: int = 1  # CPUs the consensus solve uses; the result does not depend on it
     admm_max_iterations: int = 20000
     admm_tolerance: float = 1e-7
+
+    def __post_init__(self):
+        check_mode(self.mode)
 
 
 @dataclass
@@ -187,76 +190,8 @@ def _conic_from_pair(problem: SdpProblem) -> ConicProgram:
     )
 
 
-class _RestrictedReduction:
-    """Free-variable elimination data shared by every restricted dual of one base problem."""
-
-    def __init__(self, base: SdpProblem):
-        a_mat = base.a_svec
-        c_vec = base.pack(base.cost_blocks)
-        m = base.num_constraints
-        if m:
-            gram = a_mat.T @ a_mat
-            try:
-                cho = cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
-                self._solve_gram = lambda rhs: cho_solve(cho, rhs)
-            except np.linalg.LinAlgError:
-                pinv = np.linalg.pinv(gram)
-                self._solve_gram = lambda rhs: pinv @ rhs
-        else:
-            self._solve_gram = lambda rhs: rhs
-        w_obj = a_mat @ self._solve_gram(base.rhs)
-
-        self.base = base
-        self.a_mat = a_mat
-        self.w_obj = w_obj
-        self.c_vec = c_vec
-        self.const = float(w_obj @ c_vec) + base.obj_offset
-
-    # The complement basis needs a complete QR of a_mat; only the interior-point
-    # layout uses it, so the consensus solver never pays for it.
-    @cached_property
-    def perp(self) -> np.ndarray:
-        """Orthonormal basis of the complement of span{svec(A_j)}.
-
-        The trailing columns of a column-pivoted complete QR; the rank is the
-        number of |R_kk| above 1e-11 times the first pivot.
-        """
-        if not self.base.num_constraints:
-            return np.eye(self.a_mat.shape[0])
-        q, r, _ = qr(self.a_mat, mode="full", pivoting=True)
-        diag = np.abs(np.diag(r))
-        tol = (diag[0] if diag.size else 1.0) * 1e-11
-        rank = int(np.sum(diag > tol))
-        return q[:, rank:]
-
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        return self.perp.T @ self.c_vec
-
-    @cached_property
-    def row_segments(self) -> List[np.ndarray]:
-        return [np.ascontiguousarray(seg.T) for seg in self.base.segments(self.perp)]
-
-    def recover_y(self, lift_vec: np.ndarray) -> np.ndarray:
-        return self._solve_gram(self.a_mat.T @ (self.c_vec - lift_vec))
-
-    def moment_matrices(self, w: np.ndarray) -> List[np.ndarray]:
-        return self.base.unpack(self.w_obj - self.perp @ w)
-
-
-def restricted_reduction(base: SdpProblem) -> _RestrictedReduction:
-    """The reduction of `base`, built on its first restriction and kept on it.
-
-    Every sweep cell of one base problem then shares one svec constraint
-    matrix and one complement basis; a sweep builds it before its helper
-    processes fork.
-    """
-    if base.reduction is None:
-        base.reduction = _RestrictedReduction(base)
-    return base.reduction
-
-
-def _conic_from_restricted(bs: BlockSdp, red: _RestrictedReduction) -> ConicProgram:
+def _conic_from_restricted(bs: BlockSdp) -> ConicProgram:
+    red = bs.base.reduction
     ops = ProjectedRows(
         base_dims=bs.base.block_dims,
         ut_stacks=[ens.ut for ens in bs.ensembles],
@@ -268,8 +203,28 @@ def _conic_from_restricted(bs: BlockSdp, red: _RestrictedReduction) -> ConicProg
                         gap_offset=red.const, gap_flip=True)
 
 
+def _reduced_form(problem: SdpProblem) -> Optional[BlockSdp]:
+    """The pair as its restricted dual over identity ensembles (N = 1, U = I),
+    when that has fewer Schur rows, sum svec(n_b) - m, than the pair's m, and
+    its elimination of y is exact; otherwise None.
+
+    A rank-deficient A is left to the pair form: with b outside its range the
+    elimination would solve a least-squares problem instead.  The reduction
+    and its QR are built here, before the solve holds BLAS at one thread, as
+    a sweep builds them, so a sweep's cells get the same bits whichever
+    solve builds them first.
+    """
+    dim, m = problem.a_svec.shape
+    if 2 * m <= dim or problem.reduction.perp.shape[1] != dim - m:  # rank(A) < m
+        return None
+    # Built in place, never serialized: a recipe would regenerate a random U.
+    return restrict_dual(problem, [
+        SubspaceEnsemble(n=n, r=n, N=1, seed=0, orthonormal=True, matrices=(np.eye(n),))
+        for n in problem.block_dims])
+
+
 # ---------------------------------------------------------------------------
-# Status mapping and the public solve.
+# From a solver's result to a Solution.
 # ---------------------------------------------------------------------------
 
 # What a conic status says about the problem that is the program's primal side.
@@ -284,10 +239,42 @@ _STATUS = {
 _ACROSS_DUALITY = {Status.Infeasible: Status.Unbounded, Status.Unbounded: Status.Infeasible}
 
 
-def _certified(status: Status, sense: str, res: ConicResult) -> Solution:
-    """Infeasible or Unbounded: an infinite objective and the certificate."""
-    worst = np.inf if (status == Status.Infeasible) == (sense == "min") else -np.inf
+def _read_status(status: Status, sense: str, solved_sense: str) -> Status:
+    """A status of the `solved_sense` side of a pair, as its `sense` side reads it."""
+    return status if sense == solved_sense else _ACROSS_DUALITY.get(status, status)
+
+
+def _solution(problem, status: Status, objective: float, y: np.ndarray,
+              moments: List[np.ndarray], slacks: List[np.ndarray]) -> Solution:
+    """The fields of a solve that is not certified Infeasible or Unbounded,
+    from y, the moment matrices X and the slack blocks S (per sample for a
+    BlockSdp), in the problem's sense; see the module docstring."""
+    max_sense = problem.sense == "max"
+    return Solution(
+        status=status,
+        objective=objective,
+        psd_blocks=slacks if max_sense else moments,
+        free_vars=y,
+        eq_multipliers=_plain_upper(moments) if max_sense else y.copy(),
+        moment_matrices=moments,
+        dual_slacks=slacks if isinstance(problem, SdpProblem) else [],
+    )
+
+
+def _certified(status: Status, problem, res: ConicResult, solved_sense: str) -> Solution:
+    """Infeasible or Unbounded: the infinite objective of the problem's sense
+    and the certificate, for a pair in the pair form's keys."""
+    worst = np.inf if (status == Status.Infeasible) == (problem.sense == "min") else -np.inf
     cert = {k: v if k == "w" else _unstack(v) for k, v in res.certificate.items()}
+    if isinstance(problem, SdpProblem) and solved_sense == "max":  # the reduced form
+        if "x_blocks" in cert:
+            # perp' svec(S) = 0 puts S in A's range: S = -sum_j y_j A_j.
+            s_mats = cert["x_blocks"]
+            y = -problem.reduction.solve_gram(problem.a_svec.T @ problem.pack(s_mats))
+            cert = {"w": y, "z_blocks": s_mats}
+        else:
+            # Z = -smat(perp w) has A(Z) = 0 and <C, Z> = -g'w < 0.
+            cert = {"x_blocks": cert["z_blocks"]}
     return Solution(status=status, objective=worst, certificate=cert)
 
 
@@ -305,6 +292,11 @@ def _finish(sol: Solution, problem, config: SolverConfig, iterations: int, trace
             writer.writeheader()
             writer.writerows(trace)
     return sol
+
+
+# ---------------------------------------------------------------------------
+# The public solve.
+# ---------------------------------------------------------------------------
 
 
 def solve(problem: Union[SdpProblem, BlockSdp], config: SolverConfig | None = None) -> Solution:
@@ -328,17 +320,9 @@ def _solve_with(impl, problem, config: SolverConfig) -> Solution:
     """impl(problem, config), with the projected primal solved as its conic dual."""
     if isinstance(problem, BlockSdp) and problem.kind == "projected_primal":
         sol = impl(restrict_dual(problem.base, problem.ensembles), config)
-        sol.status = _ACROSS_DUALITY.get(sol.status, sol.status)
+        sol.status = _read_status(sol.status, problem.sense, "max")
         return sol
     return impl(problem, config)
-
-
-def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> Solution:
-    if isinstance(problem, SdpProblem):
-        return _solve_pair(problem, config)
-    if isinstance(problem, BlockSdp):
-        return _solve_restricted(problem, config)
-    raise TypeError(f"cannot solve object of type {type(problem)!r}")
 
 
 def _solve_conic(prog: ConicProgram, config: SolverConfig) -> ConicResult:
@@ -350,97 +334,33 @@ def _solve_conic(prog: ConicProgram, config: SolverConfig) -> ConicResult:
                            config.keep_trace or config.trace_path is not None)
 
 
-def _reduced_form(problem: SdpProblem) -> Optional[BlockSdp]:
-    """The pair as its restricted dual over identity ensembles (N = 1, U = I),
-    when that has fewer Schur rows, sum svec(n_b) - m, than the pair's m, and
-    its elimination of y is exact; otherwise None.
-
-    A rank-deficient A is left to the pair form: with b outside its range the
-    elimination would solve a least-squares problem instead.  The reduction
-    and its QR are built here, before the solve holds BLAS at one thread, as
-    a sweep builds them, so a sweep's cells get the same bits whichever
-    solve builds them first.
-    """
-    dim, m = problem.a_svec.shape
-    if 2 * m <= dim:
-        return None
-    red = restricted_reduction(problem)
-    if red.perp.shape[1] != dim - m:  # rank(A) < m
-        return None
-    # Built in place, never serialized: a recipe would regenerate a random U.
-    return restrict_dual(problem, [
-        SubspaceEnsemble(n=n, r=n, N=1, seed=0, orthonormal=True, matrices=(np.eye(n),))
-        for n in problem.block_dims])
-
-
-def _solve_pair(problem: SdpProblem, config: SolverConfig) -> Solution:
+def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> Solution:
+    """The pair in its pair or reduced form, or a restricted dual, by the IPM."""
     t0 = time.perf_counter()
-    reduced = _reduced_form(problem)
-    if reduced is None:
-        res = _solve_conic(_conic_from_pair(problem), config)
+    if isinstance(problem, BlockSdp):
+        bs = problem
+    elif isinstance(problem, SdpProblem):
+        bs = _reduced_form(problem)
     else:
-        red = restricted_reduction(problem)
-        res = _solve_conic(_conic_from_restricted(reduced, red), config)
-    sense = problem.sense
-    status = _STATUS[res.status]
-    # The pair form's program has the min side as its primal, the reduced form the max side.
-    if (sense == "max") == (reduced is None):
-        status = _ACROSS_DUALITY.get(status, status)
+        raise TypeError(f"cannot solve object of type {type(problem)!r}")
+    prog = _conic_from_pair(problem) if bs is None else _conic_from_restricted(bs)
+    res = _solve_conic(prog, config)
+    # The conic primal holds the max side of the problem's pair exactly when gap_flip is set.
+    solved_sense = "max" if prog.gap_flip else "min"
+    status = _read_status(_STATUS[res.status], problem.sense, solved_sense)
     if status in _ACROSS_DUALITY:
-        sol = _certified(status, sense, res)
-    elif reduced is not None:
-        objective = red.const - (res.primal_objective if sense == "max" else res.dual_objective)
-        sol = _restricted_solution(reduced, red, status, objective,
-                                   [sym(s) for s in res.x_blocks], red.moment_matrices(res.w))
-        sol.dual_slacks = sol.psd_blocks
-        if sense == "min":
-            sol.psd_blocks, sol.eq_multipliers = sol.moment_matrices, sol.free_vars.copy()
+        sol = _certified(status, problem, res, solved_sense)
     else:
-        xs = _unstack(res.x_blocks)
-        slacks = [sym(z) for z in _unstack(res.z_blocks)]
-        if sense == "max":
-            objective, psd, eq_mult = res.dual_objective, slacks, _plain_upper(xs)
+        value = res.primal_objective if problem.sense == solved_sense else res.dual_objective
+        if bs is None:
+            y, moments = res.w, _unstack(res.x_blocks)
+            slacks = [sym(z) for z in _unstack(res.z_blocks)]
         else:
-            objective, psd, eq_mult = res.primal_objective, xs, res.w.copy()
-        sol = Solution(
-            status=status,
-            objective=objective + problem.obj_offset,
-            psd_blocks=psd,
-            free_vars=res.w,
-            eq_multipliers=eq_mult,
-            moment_matrices=xs,
-            dual_slacks=slacks,
-        )
+            red = bs.base.reduction
+            slacks = _unstack([sym(s) for s in res.x_blocks])
+            y, moments = red.recover_y(lift_blocks(bs, slacks)), red.moment_matrices(res.w)
+        sol = _solution(problem, status, prog.user_objective(value), y, moments, slacks)
     return _finish(sol, problem, config, res.iterations, res.trace, t0)
-
-
-def _restricted_solution(bs: BlockSdp, red: _RestrictedReduction, status: Status,
-                         objective: float, groups: Sequence[np.ndarray],
-                         moments: List[np.ndarray]) -> Solution:
-    """A restricted dual's Solution from its (N, r, r) stacks of S_i, one per
-    ensemble, and its moment matrices; y is recovered from the lifts."""
-    lifts = [lift_dual_certificate(s, ens) for s, ens in zip(groups, bs.ensembles)]
-    return Solution(
-        status=status,
-        objective=objective,
-        psd_blocks=_unstack(groups),
-        free_vars=red.recover_y(bs.base.pack(lifts)),
-        eq_multipliers=_plain_upper(moments),
-        moment_matrices=moments,
-    )
-
-
-def _solve_restricted(bs: BlockSdp, config: SolverConfig) -> Solution:
-    t0 = time.perf_counter()
-    red = restricted_reduction(bs.base)
-    res = _solve_conic(_conic_from_restricted(bs, red), config)
-    status = _STATUS[res.status]
-    if status in _ACROSS_DUALITY:
-        sol = _certified(status, bs.sense, res)
-    else:
-        sol = _restricted_solution(bs, red, status, red.const - res.primal_objective,
-                                   [sym(x) for x in res.x_blocks], red.moment_matrices(res.w))
-    return _finish(sol, bs, config, res.iterations, res.trace, t0)
 
 
 # ---------------------------------------------------------------------------

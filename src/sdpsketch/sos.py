@@ -19,6 +19,10 @@ it packed: a_svec and rhs as little-endian float64 bytes in base64, beside
 their shapes, so a problem file decodes to the same bits it was written
 from.  The older coordinate form, one {"rhs", "blocks"} entry per
 constraint, is still read.
+
+A problem owns the elimination data of its restricted duals
+(SdpProblem.reduction), built on first use, shared by every restriction
+and left behind by pickles and copies.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, qr
 
 from ._linalg import SQRT2, nullspace, smat, svec, svec_dim, sym, triu_indices
 from .polynomial import (
@@ -124,14 +130,19 @@ class SdpProblem:
         self.sense = sense
         self.obj_offset = obj_offset
         self.moment_meta = moment_meta
-        # The restricted dual's elimination data (solver.restricted_reduction),
-        # built on the first restriction and shared by all of them; not
-        # serialized.
-        self.reduction = None
+
+    @cached_property
+    def reduction(self) -> "RestrictedReduction":
+        """The elimination data of every restricted dual of this problem, built
+        on first use and shared by all of them (a sweep builds it before its
+        helper processes fork)."""
+        return RestrictedReduction(self)
 
     def __getstate__(self):
         # Pickles and copies leave the reduction behind; it is rebuilt on use.
-        return {**self.__dict__, "reduction": None}
+        state = dict(self.__dict__)
+        state.pop("reduction", None)
+        return state
 
     # -- structure -----------------------------------------------------
     @property
@@ -229,6 +240,66 @@ class SdpProblem:
     @staticmethod
     def from_json(text: str) -> "SdpProblem":
         return SdpProblem.from_json_dict(json.loads(text))
+
+
+class RestrictedReduction:
+    """Elimination of y from S = C - sum_j y_j A_j, shared by every restricted
+    dual of one base problem: rows perp' svec(S) = perp' svec(C), cost
+    w_obj = A (A'A)^-1 b, and y recovered from S by the Gram solve."""
+
+    def __init__(self, base: SdpProblem):
+        a_mat = base.a_svec
+        c_vec = base.pack(base.cost_blocks)
+        m = base.num_constraints
+        if m:
+            gram = a_mat.T @ a_mat
+            try:
+                cho = cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
+                self.solve_gram = lambda rhs: cho_solve(cho, rhs)
+            except np.linalg.LinAlgError:
+                pinv = np.linalg.pinv(gram)
+                self.solve_gram = lambda rhs: pinv @ rhs
+        else:
+            self.solve_gram = lambda rhs: rhs
+        w_obj = a_mat @ self.solve_gram(base.rhs)
+
+        self.base = base
+        self.a_mat = a_mat
+        self.w_obj = w_obj
+        self.c_vec = c_vec
+        self.const = float(w_obj @ c_vec) + base.obj_offset
+
+    # The complement basis needs a complete QR of a_mat; only the interior-point
+    # layout uses it, so the consensus solver never pays for it.
+    @cached_property
+    def perp(self) -> np.ndarray:
+        """Orthonormal basis of the complement of span{svec(A_j)}.
+
+        The trailing columns of a column-pivoted complete QR; the rank is the
+        number of |R_kk| above 1e-11 times the first pivot.
+        """
+        if not self.base.num_constraints:
+            return np.eye(self.a_mat.shape[0])
+        q, r, _ = qr(self.a_mat, mode="full", pivoting=True)
+        diag = np.abs(np.diag(r))
+        tol = (diag[0] if diag.size else 1.0) * 1e-11
+        rank = int(np.sum(diag > tol))
+        return q[:, rank:]
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        return self.perp.T @ self.c_vec
+
+    @cached_property
+    def row_segments(self) -> List[np.ndarray]:
+        return [np.ascontiguousarray(seg.T) for seg in self.base.segments(self.perp)]
+
+    def recover_y(self, slacks: Sequence[np.ndarray]) -> np.ndarray:
+        """y of sum_j y_j A_j + S = C, one slack matrix S_b per block."""
+        return self.solve_gram(self.a_mat.T @ (self.c_vec - self.base.pack(slacks)))
+
+    def moment_matrices(self, w: np.ndarray) -> List[np.ndarray]:
+        return self.base.unpack(self.w_obj - self.perp @ w)
 
 
 def _symmetric(mat, dim: int, what: str) -> np.ndarray:

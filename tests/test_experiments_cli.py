@@ -17,7 +17,7 @@ from sdpsketch.cli import main as cli_main
 from sdpsketch.experiments import ExperimentConfig, run_density, run_rank_sweep
 from sdpsketch.instances import infeasible_sdp, random_feasible_sdp, unbounded_sdp
 from sdpsketch.sketch import BlockSdp, load_problem
-from sdpsketch.solver import solve
+from sdpsketch.solver import SolverConfig, solve
 
 
 def _cpus():
@@ -283,6 +283,19 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json_dict(bad)
 
+    @pytest.mark.parametrize("bad", ["IPM", "consensus!", ""])
+    def test_unknown_mode_rejected(self, bad):
+        with pytest.raises(ValueError, match="mode"):
+            ExperimentConfig.from_json_dict({"mode": bad})
+        with pytest.raises(ValueError, match="mode"):
+            SolverConfig(mode=bad)
+
+    def test_known_modes_accepted(self):
+        for mode in ("interior_point", "ipm", "consensus"):
+            assert ExperimentConfig(mode=mode).solver_config().mode == (
+                "consensus" if mode == "consensus" else "interior_point")
+            assert SolverConfig(mode=mode).mode == mode
+
     def test_config_json_lists_every_field_in_order(self):
         from dataclasses import fields
 
@@ -444,6 +457,14 @@ class TestCliSolve:
         msg = self.one_line_error(["sweep", "--kind", "poc", "--ranks", "0",
                                    "--out", str(tmp_path / "s")])
         assert "ranks" in msg
+        assert not (tmp_path / "s").exists()
+
+    def test_sweep_config_with_unknown_mode_is_reported(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "poc", "ranks": [3], "mode": "IPM"}))
+        msg = self.one_line_error(["sweep", "--config", str(cfg_path),
+                                   "--out", str(tmp_path / "s")])
+        assert "'IPM'" in msg
         assert not (tmp_path / "s").exists()
 
     def test_consensus_mode_rejects_sdp_problem(self, tmp_path, rng):

@@ -3,7 +3,7 @@ import pytest
 
 from sdpsketch.control import compile_poc
 from sdpsketch import ipm, solver
-from sdpsketch._linalg import svec_dim
+from sdpsketch._linalg import svec_dim, sym
 from sdpsketch.instances import (
     default_poc_problem,
     default_pop_problem,
@@ -22,7 +22,6 @@ from sdpsketch.solver import (
     _conic_from_restricted,
     _reduced_form,
     kkt_residuals,
-    restricted_reduction,
     solve,
 )
 from sdpsketch.sos import SdpProblem, compile_pop
@@ -125,7 +124,7 @@ class TestPairRows:
 
     def test_reduction_reads_the_problems_matrix(self, rng):
         prob = random_feasible_sdp(rng, 4, 3)
-        assert restricted_reduction(prob).a_mat is prob.a_svec
+        assert prob.reduction.a_mat is prob.a_svec
 
 
 def _with_sense(prob: SdpProblem, sense: str) -> SdpProblem:
@@ -177,14 +176,33 @@ class TestPairForm:
         cases = [(infeasible_sdp, Status.Infeasible), (unbounded_sdp, Status.Unbounded)]
         across = {Status.Infeasible: Status.Unbounded, Status.Unbounded: Status.Infeasible}
         for make, status in cases:
-            for n, m in ((2, 2), (3, 4), (3, 5)):
+            # the first two shapes keep the pair form, the last three are reduced
+            for n, m in ((3, 2), (4, 3), (2, 2), (3, 4), (3, 5)):
                 prob = _with_sense(make(rng, n, m), sense)
-                assert _reduced_form(prob) is not None
+                assert (_reduced_form(prob) is None) == (2 * m <= svec_dim(n))
                 sol = solve(prob)
                 # the max side of the same pair reports the other status, at the same infinity
                 assert sol.status == (status if sense == "min" else across[status])
                 assert sol.objective == (np.inf if status == Status.Infeasible else -np.inf)
-                assert sol.certificate is not None
+                # in either form and sense, the pair's own ray: a y-ray proves the
+                # min side infeasible, an X-ray the max side
+                cert = sol.certificate
+                if status == Status.Infeasible:
+                    assert sorted(cert) == ["w", "z_blocks"]
+                    y, z = cert["w"], cert["z_blocks"]
+                    assert y.shape == (m,) and prob.rhs @ y > 0
+                    resid = np.sqrt(sum(np.sum((a + zb) ** 2)
+                                        for a, zb in zip(prob.unpack(prob.a_svec @ y), z)))
+                    assert resid <= 1e-8 * (1 + np.linalg.norm(y))
+                    rays = z
+                else:
+                    assert sorted(cert) == ["x_blocks"]
+                    x = cert["x_blocks"]
+                    x_norm = np.sqrt(sum(np.sum(xb * xb) for xb in x))
+                    assert np.linalg.norm(prob.constraint_values(x)) <= 1e-8 * (1 + x_norm)
+                    assert prob.primal_cost(x) < 0
+                    rays = x
+                assert min(np.linalg.eigvalsh(sym(r))[0] for r in rays) >= -1e-8
 
     def test_rank_deficient_constraints_stay_in_pair_form(self, rng):
         prob = random_feasible_sdp(rng, 4, 7)
@@ -207,7 +225,7 @@ class TestPairForm:
 
 class TestComplementBasis:
     def test_default_pop_basis_spans_the_svd_complement(self):
-        red = restricted_reduction(default_pop_problem())
+        red = default_pop_problem().reduction
         a_mat, perp = red.a_mat, red.perp
         dim, m = a_mat.shape
         assert perp.shape == (dim, dim - m) == (637, 90)
@@ -223,14 +241,14 @@ class TestComplementBasis:
                          a_svec=np.hstack([prob.a_svec, prob.a_svec[:, :1]]),
                          rhs=np.append(prob.rhs, prob.rhs[0]))
         dim, m = dup.a_svec.shape
-        perp = restricted_reduction(dup).perp
+        perp = dup.reduction.perp
         assert perp.shape == (dim, dim - m + 1)
         assert np.abs(dup.a_svec.T @ perp).max() <= 1e-12
 
     def test_no_constraints_gives_the_identity(self):
         prob = SdpProblem(block_dims=(2, 3), cost_blocks=(np.eye(2), np.eye(3)),
                           constraints=[], sense="min")
-        assert np.array_equal(restricted_reduction(prob).perp, np.eye(9))
+        assert np.array_equal(prob.reduction.perp, np.eye(9))
 
 
 class TestFactorReuse:
@@ -238,8 +256,7 @@ class TestFactorReuse:
         # One Cholesky factor of X and Z per iterate serves Z^-1 and every
         # step length; no general solve remains inside the IPM.
         prob = compile_poc(default_poc_problem())
-        prog = _conic_from_restricted(
-            restrict_dual(prob, ensembles_for_problem(prob, 3, 30, 0)), restricted_reduction(prob))
+        prog = _conic_from_restricted(restrict_dual(prob, ensembles_for_problem(prob, 3, 30, 0)))
         calls = {"solve": 0, "cholesky": 0}
         for name in calls:
             def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
