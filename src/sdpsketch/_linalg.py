@@ -26,10 +26,12 @@ def svec_dim(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _svec_weights(n: int) -> np.ndarray:
+def svec_weights(n: int) -> np.ndarray:
+    """svec's scale of each upper-triangle entry: 1 on the diagonal, sqrt(2) off it."""
     ia, ib = triu_indices(n)
     w = np.full(ia.shape, SQRT2)
     w[ia == ib] = 1.0
+    w.flags.writeable = False  # shared by every caller
     return w
 
 
@@ -37,13 +39,13 @@ def svec(mat: np.ndarray) -> np.ndarray:
     """Isometric vectorization: <svec(A), svec(B)> = <A, B>_F for symmetric A, B."""
     n = mat.shape[0]
     ia, ib = triu_indices(n)
-    return mat[ia, ib] * _svec_weights(n)
+    return mat[ia, ib] * svec_weights(n)
 
 
 def smat(vec: np.ndarray, n: int) -> np.ndarray:
     ia, ib = triu_indices(n)
     out = np.zeros((n, n))
-    vals = vec / _svec_weights(n)
+    vals = vec / svec_weights(n)
     out[ia, ib] = vals
     out[ib, ia] = vals
     return out
@@ -228,7 +230,7 @@ def congruence_band(pt: np.ndarray, qt: np.ndarray, a: int, out: np.ndarray) -> 
     from pt = congruence_rows(P) and qt = congruence_rows(Q)."""
     n = int(round(np.sqrt(pt.shape[0])))
     ic, jd = triu_indices(n)
-    w = _svec_weights(n)
+    w = svec_weights(n)
     start = a * n - a * (a - 1) // 2
     rows = slice(start, start + n - a)
     # blk[j, c, d] = sum_i P_i[a + j, c] Q_i[a, d] + Q_i[a + j, c] P_i[a, d]

@@ -14,25 +14,77 @@ base block, one row per direction of the complement of A's range) and
 applies its segments through a congruence U_i' (.) U_i per sample.  The
 solver also gives ProjectedRows, with one identity ensemble per block, the
 pair whose reduced form has fewer rows (2m > sum svec(n_b)) and whose A has
-rank m; see solver.  Both assemble their Schur complement as
-sum_b R_b K_b R_b' with one aggregated congruence kernel K_b per group.
+rank m; see solver.
+
+DenseRows assembles its Schur complement as sum_b R_b K_b R_b' with one
+congruence kernel K_b per block.  ProjectedRows assembles each group's share
+by whichever of two exact formulas a flop model finds cheaper for the
+group's shape (N, r, n_b, m); see per_sample_cheaper:
+
+  base space   R (sum_i U_i X_i U_i' (x)_s U_i Z_i^-1 U_i') R', one kernel
+               over svec(n_b), about 2 N n_b^4 flops whatever r is;
+  per sample   M_jk += sum_i <G_ij, X_i G_ik Z_i^-1> from the projected
+               rows G_ij = U_i' smat(R_j) U_i, built once per row system
+               (SampleRows), about 4 N m r^3 + N m^2 r^2 flops.
+
+So a group's Schur cost follows r where that is cheaper (Fujisawa, Kojima
+and Nakata 1997, "choose the cheaper formula per constraint"; the low-rank
+reuse of DSDP, Benson, Ye and Zhang 2000).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._blas import limit_blas_threads
 from ._linalg import (
     aggregate_congruence_operator,
     lift_congruence,
     restrict_congruence,
     smat,
     svec,
+    svec_dim,
+    svec_weights,
     sym,
+    triu_indices,
 )
+
+# The cost model of per_sample_cheaper.  Two steps of the Schur formulas are
+# bound by memory, not flops, and are counted at the flops they take (2-vCPU
+# host, one BLAS thread, numpy 2.4): each entry of a base-space kernel,
+# gathered and scaled band by band, and each symmetrized pair T_ab + T_ba of
+# the per-sample formula.
+KERNEL_ENTRY_FLOPS = 800
+SAMPLE_PAIR_FLOPS = 250
+BASE_FLOOR = 1e6  # groups whose base formula costs less keep it
+
+
+def per_sample_cheaper(samples: int, rank: int, dim: int, rows: int) -> bool:
+    """Whether a group of `samples` rank-`rank` blocks over a base block of
+    size `dim`, in a row system of `rows` rows, assembles its share of the
+    Schur complement from per-sample projected rows (SampleRows) rather than
+    from the base-space kernel.  Per iteration, with p = svec(r), s = svec(n):
+
+      per sample   4 N m r^3 (X G, then (X G) Z^-1) + 2 m^2 N p (against G)
+                   + SAMPLE_PAIR_FLOPS N m p
+      base space   2 N n^4 (the kernel's bands) + 2 m s^2 + 2 m^2 s (R K R')
+                   + KERNEL_ENTRY_FLOPS s^2
+
+    The per-sample formula is taken when it costs less than half the base
+    one, so it is picked only where it wins clearly: the default POP pair's
+    identity groups and, at N = 100, its sampled groups of rank up to 3 (and
+    rank 6 over the n = 28 block); ranks from 9 up keep the base formula.  Below
+    BASE_FLOOR both formulas take tens of microseconds and the base one is
+    kept; that covers every group of the POC instances (n <= 3).
+    """
+    big_n, r, n, m = samples, rank, dim, rows
+    p, s = svec_dim(r), svec_dim(n)
+    per_sample = 4 * big_n * m * r ** 3 + 2 * m * m * big_n * p + SAMPLE_PAIR_FLOPS * big_n * m * p
+    base = 2 * big_n * n ** 4 + 2 * m * s * s + 2 * m * m * s + KERNEL_ENTRY_FLOPS * s * s
+    return base >= BASE_FLOOR and 2 * per_sample < base
 
 
 class RowOps:
@@ -85,6 +137,53 @@ class DenseRows(RowOps):
         return sym(out)
 
 
+class SampleRows:
+    """The projected rows of one group, G_ij = U_i' smat(R_j) U_i, and its
+    share of the Schur complement from them:
+
+        M_jk = sum_i <G_ij, X_i G_ik Z_i^-1>.
+
+    G is held as the (N, r, m r) stack g[i, a, (j, b)] = G_ij[a, b], and
+    once more as the (m, svec(r) N) matrix `upper`, whose column (p, i) holds
+    G_ij[a_p, b_p] over j, (a_p, b_p) the p-th upper-triangle position, times
+    1/2 on the diagonal.  Then <G_ij, T> = upper[j, (p, i)] summed against
+    T[a_p, b_p] + T[b_p, a_p] over p, and the Schur share is one GEMM.
+
+    G is built by one GEMM over the stacked U' and one batched product, at
+    one BLAS thread as a solve's products are, so a cell file re-solved on
+    its own gets the same G bits as the sweep that wrote it.  An identity
+    group's G is smat(R_j) itself.
+    """
+
+    def __init__(self, ut: np.ndarray, rows: np.ndarray):
+        big_n, r, n = ut.shape
+        m = rows.shape[0]
+        ia, ib = triu_indices(n)
+        base = np.zeros((n, m, n))  # base[c, j, d] = smat(R_j)[c, d]
+        vals = (rows / svec_weights(n)).T
+        base[ia, :, ib] = vals
+        base[ib, :, ia] = vals
+        if big_n == 1 and r == n and np.array_equal(ut[0], np.eye(n)):
+            g = base[None]
+        else:
+            with limit_blas_threads(1):
+                y = (ut.reshape(big_n * r, n) @ base.reshape(n, m * n)).reshape(big_n, r * m, n)
+                g = (y @ ut.transpose(0, 2, 1)).reshape(big_n, r, m, r)
+        self.shape = (big_n, r, m)
+        self.g = np.ascontiguousarray(g.reshape(big_n, r, m * r))
+        self.ia, self.ib = triu_indices(r)
+        diag = np.where(self.ia == self.ib, 0.5, 1.0)
+        upper = g[:, self.ia, :, self.ib] * diag[:, None, None]  # (svec(r), N, m)
+        self.upper = np.ascontiguousarray(upper.transpose(2, 0, 1).reshape(m, self.ia.size * big_n))
+
+    def schur(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """This group's (m, m) share of the Schur complement, before symmetrization."""
+        big_n, r, m = self.shape
+        t = ((xs @ self.g).reshape(big_n, r * m, r) @ zs).reshape(big_n, r, m, r)
+        pairs = t[:, self.ia, :, self.ib] + t[:, self.ib, :, self.ia]  # (svec(r), N, m)
+        return self.upper @ pairs.reshape(self.ia.size * big_n, m)
+
+
 class ProjectedRows(RowOps):
     """Rows are base-space functionals composed with per-sample congruences.
 
@@ -92,6 +191,10 @@ class ProjectedRows(RowOps):
     (num_rows, svec_dim(n_b))), the conic blocks (b, i) enter row j with
     coefficient matrix U_{b,i}' smat(R_j) U_{b,i}.  Base block b's samples
     form one group, held as the (N, r, n_b) stack of U_{b,i}'.
+
+    sample_rows holds, per group, its SampleRows when per_sample_cheaper
+    picks the per-sample Schur formula for its shape, else None: that group
+    takes the base-space kernel.
     """
 
     def __init__(self, base_dims: Sequence[int], ut_stacks: List[np.ndarray],
@@ -99,6 +202,10 @@ class ProjectedRows(RowOps):
         super().__init__(base_dims, row_segments)
         self.ut_stacks = [np.ascontiguousarray(ut, dtype=float) for ut in ut_stacks]
         self.groups = tuple((ut.shape[0], ut.shape[1]) for ut in self.ut_stacks)
+        self.sample_rows: List[Optional[SampleRows]] = [
+            SampleRows(ut, rows) if per_sample_cheaper(big_n, r, n, self.num_rows) else None
+            for ut, rows, (big_n, r), n in zip(self.ut_stacks, self.row_segments,
+                                               self.groups, self.base_dims)]
 
     def apply(self, blocks):
         out = np.zeros(self.num_rows)
@@ -112,10 +219,14 @@ class ProjectedRows(RowOps):
 
     def schur(self, x_blocks, zinv_blocks):
         out = np.zeros((self.num_rows, self.num_rows))
-        for ut, rows, xs, zs in zip(self.ut_stacks, self.row_segments, x_blocks, zinv_blocks):
-            u = ut.transpose(0, 2, 1)
-            kernel = aggregate_congruence_operator(u @ (xs @ ut), u @ (zs @ ut))
-            out += rows @ kernel @ rows.T
+        for ut, rows, sample_rows, xs, zs in zip(self.ut_stacks, self.row_segments,
+                                                 self.sample_rows, x_blocks, zinv_blocks):
+            if sample_rows is not None:
+                out += sample_rows.schur(xs, zs)
+            else:
+                u = ut.transpose(0, 2, 1)
+                kernel = aggregate_congruence_operator(u @ (xs @ ut), u @ (zs @ ut))
+                out += rows @ kernel @ rows.T
         return sym(out)
 
 

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr
 
-from ._linalg import SQRT2, nullspace, smat, svec, svec_dim, sym, triu_indices
+from ._linalg import SQRT2, nullspace, smat, svec, svec_dim, svec_weights, sym, triu_indices
 from .polynomial import (
     Basis,
     DegreeOverflowError,
@@ -399,7 +399,55 @@ def matching_program(
 ) -> SdpProblem:
     """Pair-form SDP for: find PSD blocks with sum of contributions == target
     (minus lambda * lower_bound_poly when a lower bound variable is requested,
-    in which case the objective maximizes lambda)."""
+    in which case the objective maximizes lambda).
+
+    The constraint columns are packed straight into a_svec: (col / w) * w
+    with w the stacked svec weights is svec(smat(col)) block by block, in the
+    same floating-point operations, so no constraint matrix is formed.
+    """
+    dims, c_vec, cols, rhs = _matching_columns(blocks, target, lower_bound_poly)
+    offsets = np.cumsum([0] + [svec_dim(d) for d in dims])
+
+    def split(vec: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return tuple(smat(vec[lo:hi], d) for lo, hi, d in zip(offsets[:-1], offsets[1:], dims))
+
+    cost_blocks = split(c_vec)
+    obj_offset = 0.0
+    if any(spec.objective is not None for spec in blocks):
+        if lower_bound_poly is not None:
+            # Lower bound and block functionals are not combined in any caller.
+            raise NotImplementedError("objective functionals with a lower bound variable")
+
+        def functional(mats) -> float:
+            val = 0.0
+            for spec, mat in zip(blocks, mats):
+                if spec.objective is not None:
+                    val += float(np.tensordot(spec.objective, mat))
+            return val
+
+        obj_offset = functional(cost_blocks)
+        rhs = np.array([-functional(split(col)) for col in cols.T])
+
+    weights = np.concatenate([svec_weights(d) for d in dims])[:, None]
+    mb = blocks[moment_block].basis
+    meta = MomentMeta(block=moment_block, basis=mb, rows=gram_map(mb).rows)
+    return SdpProblem(
+        block_dims=tuple(dims),
+        cost_blocks=cost_blocks,
+        a_svec=(cols / weights) * weights,
+        rhs=rhs,
+        sense="max",
+        obj_offset=obj_offset,
+        moment_meta=meta,
+    )
+
+
+def _matching_columns(blocks: List[GramBlockSpec], target: Polynomial,
+                      lower_bound_poly: Optional[Polynomial]):
+    """The coefficient-matching system of matching_program in svec
+    coordinates: (block sizes, the particular solution c of the target, the
+    constraint columns [lambda particular solution, kernel basis], their
+    right-hand sides)."""
     support: Dict[Monomial, int] = {}
 
     def note(mono):
@@ -469,47 +517,11 @@ def matching_program(
             lvec[support[mono]] = coeff
         lam_vec = particular(lvec, "lower-bound polynomial")
 
-    def split(vec: np.ndarray) -> Tuple[np.ndarray, ...]:
-        return tuple(
-            smat(vec[offsets[b]: offsets[b + 1]], dims[b]) for b in range(len(blocks))
-        )
-
-    cost_blocks = split(c_vec)
-    constraints: List[Tuple[Tuple[np.ndarray, ...], float]] = []
-    if lam_vec is not None:
-        constraints.append((split(lam_vec), 1.0))
-    for k in range(kernel.shape[1]):
-        constraints.append((split(kernel[:, k]), 0.0))
-
-    obj_offset = 0.0
-    if any(spec.objective is not None for spec in blocks):
-        def functional(mats) -> float:
-            val = 0.0
-            for spec, mat in zip(blocks, mats):
-                if spec.objective is not None:
-                    val += float(np.tensordot(spec.objective, mat))
-            return val
-
-        obj_offset = functional(cost_blocks)
-        constraints = [
-            (mats, rhs - functional(mats)) if lam_vec is not None and i == 0
-            else (mats, -functional(mats))
-            for i, (mats, rhs) in enumerate(constraints)
-        ]
-        if lam_vec is not None:
-            # Lower bound and block functionals are not combined in any caller.
-            raise NotImplementedError("objective functionals with a lower bound variable")
-
-    mb = blocks[moment_block].basis
-    meta = MomentMeta(block=moment_block, basis=mb, rows=gram_map(mb).rows)
-    return SdpProblem(
-        block_dims=tuple(dims),
-        cost_blocks=cost_blocks,
-        constraints=constraints,
-        sense="max",
-        obj_offset=obj_offset,
-        moment_meta=meta,
-    )
+    if lam_vec is None:
+        return dims, c_vec, kernel, np.zeros(kernel.shape[1])
+    rhs = np.zeros(1 + kernel.shape[1])
+    rhs[0] = 1.0
+    return dims, c_vec, np.column_stack([lam_vec, kernel]), rhs
 
 
 def _ball_polynomial(num_vars: int, radius: float) -> Polynomial:

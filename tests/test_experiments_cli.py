@@ -17,7 +17,7 @@ from sdpsketch.cli import main as cli_main
 from sdpsketch.experiments import ExperimentConfig, run_density, run_rank_sweep
 from sdpsketch.instances import infeasible_sdp, random_feasible_sdp, unbounded_sdp
 from sdpsketch.sketch import BlockSdp, load_problem
-from sdpsketch.solver import SolverConfig, solve
+from sdpsketch.solver import SolverConfig, _conic_from_restricted, solve
 
 
 def _cpus():
@@ -149,6 +149,19 @@ class TestSweep:
                 assert abs(again.objective - cell.objective) <= 1e-7
             else:
                 assert again.objective == cell.objective
+
+    def test_per_sample_schur_cells_resolve_exactly(self, tmp_path):
+        # At 20 samples the n = 28 group of both ranks takes the per-sample
+        # Schur formula, whose projected rows a re-solve builds afresh.
+        cfg = ExperimentConfig(kind="pop", ranks=(3, 11), samples=20, seeds=(0, 1),
+                               nested=True, out_dir=str(tmp_path / "a"))
+        res = run_rank_sweep(cfg)
+        for rank in (3, 11):
+            bs = load_problem(tmp_path / "a" / "problems" / f"rank{rank:03d}_seed0.json")
+            assert _conic_from_restricted(bs).ops.sample_rows[0] is not None
+            again, cell = solve(bs), res.cell(rank, 0)
+            assert (again.status.value, again.iterations) == (cell.status, cell.iterations)
+            assert again.objective == cell.objective
 
     def test_problems_hold_one_base_and_small_references(self, tmp_path):
         res = run_rank_sweep(poc_config(tmp_path / "a"))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sdpsketch.control import compile_poc
-from sdpsketch import ipm, solver
-from sdpsketch._linalg import svec_dim, sym
+from sdpsketch import _linalg, ipm, solver
+from sdpsketch._linalg import aggregate_congruence_operator, svec_dim, sym
+from sdpsketch.conic import SampleRows
 from sdpsketch.instances import (
     default_poc_problem,
     default_pop_problem,
@@ -221,6 +222,71 @@ class TestPairForm:
         sol = solve(inconsistent)
         assert sol.status == Status.Infeasible
         assert sol.objective == np.inf
+
+
+def _random_pd(rng, big_n, r):
+    g = rng.standard_normal((big_n, r, r))
+    return g @ np.swapaxes(g, -1, -2) + 0.1 * np.eye(r)
+
+
+def _close(got, want, rel=1e-12):
+    return np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
+
+
+def _restricted_ops(prob, rank, samples):
+    return _conic_from_restricted(
+        restrict_dual(prob, ensembles_for_problem(prob, rank, samples, 0))).ops
+
+
+class TestSchurFormulas:
+    """A restricted dual's Schur complement, per group, by the base-space
+    kernel or from the per-sample projected rows G_ij = U_i' smat(R_j) U_i."""
+
+    @staticmethod
+    def base_share(ut, rows, xs, zs):
+        u = np.swapaxes(ut, -1, -2)
+        return rows @ aggregate_congruence_operator(u @ (xs @ ut), u @ (zs @ ut)) @ rows.T
+
+    def test_the_two_formulas_agree(self, rng):
+        pop, poc = default_pop_problem(), compile_poc(default_poc_problem())
+        cases = [_conic_from_restricted(_reduced_form(pop)).ops]  # N = 1 identity groups
+        cases += [_restricted_ops(pop, r, 12) for r in (1, 3, 6, 11)]
+        cases += [_restricted_ops(poc, r, 30) for r in (1, 2, 3)]  # n in {2, 3}, m = 6
+        # svec(3) = 6 constraints leave the restricted dual no rows
+        cases += [_restricted_ops(random_feasible_sdp(rng, 3, 6), 2, 5)]
+        assert cases[-1].num_rows == 0 and cases[-3].base_dims == (2, 3)
+        for ops in cases:
+            xs = [_random_pd(rng, big_n, r) for big_n, r in ops.groups]
+            zs = [_random_pd(rng, big_n, r) for big_n, r in ops.groups]
+            for ut, rows, x, z in zip(ops.ut_stacks, ops.row_segments, xs, zs):
+                want = sym(self.base_share(ut, rows, x, z))
+                got = sym(SampleRows(ut, rows).schur(x, z))
+                assert got.shape == want.shape == (ops.num_rows, ops.num_rows)
+                assert _close(got, want)
+            full = sym(sum(self.base_share(ut, rows, x, z) for ut, rows, x, z in
+                           zip(ops.ut_stacks, ops.row_segments, xs, zs)))
+            assert _close(ops.schur(xs, zs), full)
+
+    def test_the_choice_of_formula_is_pinned(self, rng, monkeypatch):
+        pop, poc = default_pop_problem(), compile_poc(default_poc_problem())
+        per_sample = {
+            "pair": (_conic_from_restricted(_reduced_form(pop)).ops, [True, True]),
+            **{f"pop r={r}": (_restricted_ops(pop, r, 100), [True, True]) for r in (1, 3)},
+            **{f"pop r={r}": (_restricted_ops(pop, r, 100), [False, False]) for r in (11, 25)},
+            **{f"poc r={r}": (_restricted_ops(poc, r, 100), [False, False]) for r in (1, 2, 3)},
+        }
+        bands = []
+        real_band = _linalg.congruence_band
+        monkeypatch.setattr(_linalg, "congruence_band",
+                            lambda pt, qt, a, out: bands.append(a) or real_band(pt, qt, a, out))
+        for name, (ops, want) in per_sample.items():
+            assert [s is not None for s in ops.sample_rows] == want, name
+            bands.clear()
+            xs = [_random_pd(rng, big_n, r) for big_n, r in ops.groups]
+            ops.schur(xs, [_random_pd(rng, big_n, r) for big_n, r in ops.groups])
+            # one kernel band per row of each base-formula group's base block
+            assert len(bands) == sum(n for n, s in zip(ops.base_dims, ops.sample_rows)
+                                     if s is None), name
 
 
 class TestComplementBasis:

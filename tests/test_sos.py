@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -12,6 +13,7 @@ from sdpsketch.polynomial import (
     parse_polynomial,
 )
 from sdpsketch.sketch import ensembles_for_problem, restrict_dual
+from sdpsketch._linalg import smat
 from sdpsketch.solver import Status, solve
 from sdpsketch.sos import SdpProblem, compile_pop, compile_sos, compile_sos_on_ball, gram_map
 
@@ -251,6 +253,59 @@ class TestSerialization:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             SdpProblem(block_dims=(2,), cost_blocks=(bad,), constraints=[])
+
+
+def constraint_list_problem(blocks, dims, c_vec, cols, lower_bound, moment_meta):
+    """matching_program's problem built the earlier way, as the reference: one
+    smat matrix per block and constraint, packed by SdpProblem."""
+    offsets = np.cumsum([0] + [d * (d + 1) // 2 for d in dims])
+
+    def split(vec):
+        return tuple(smat(vec[offsets[b]:offsets[b + 1]], d) for b, d in enumerate(dims))
+
+    cost_blocks = split(c_vec)
+    constraints = [(split(cols[:, k]), 1.0 if lower_bound and k == 0 else 0.0)
+                   for k in range(cols.shape[1])]
+    obj_offset = 0.0
+    if any(spec.objective is not None for spec in blocks):
+        def functional(mats):
+            val = 0.0
+            for spec, mat in zip(blocks, mats):
+                if spec.objective is not None:
+                    val += float(np.tensordot(spec.objective, mat))
+            return val
+
+        obj_offset = functional(cost_blocks)
+        constraints = [(mats, -functional(mats)) for mats, _ in constraints]
+    return SdpProblem(block_dims=dims, cost_blocks=cost_blocks, constraints=constraints,
+                      sense="max", obj_offset=obj_offset, moment_meta=moment_meta)
+
+
+class TestCompiledPacking:
+    def test_matching_program_packs_the_bits_of_the_constraint_list(self, monkeypatch):
+        from sdpsketch import sos
+        from sdpsketch.control import compile_poc
+        from sdpsketch.instances import default_poc_problem, default_pop_problem
+
+        calls = []
+        real = sos._matching_columns
+
+        def recording(blocks, target, lower_bound_poly):
+            out = real(blocks, target, lower_bound_poly)
+            calls.append((blocks, out, lower_bound_poly is not None))
+            return out
+
+        monkeypatch.setattr(sos, "_matching_columns", recording)
+        for compiled in (default_pop_problem(), compile_poc(default_poc_problem())):
+            blocks, (dims, c_vec, cols, _), lower_bound = calls.pop(0)
+            want = constraint_list_problem(blocks, dims, c_vec, cols, lower_bound,
+                                           compiled.moment_meta)
+            assert np.array_equal(compiled.a_svec, want.a_svec)
+            assert np.array_equal(compiled.rhs, want.rhs)
+            assert all(np.array_equal(a, b) for a, b in zip(compiled.cost_blocks, want.cost_blocks))
+            assert compiled.obj_offset == want.obj_offset
+            # a sweep writes problems/base.json as these bytes
+            assert json.dumps(compiled.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 class TestPackedConstraints:
