@@ -127,12 +127,15 @@ def _cmd_solve(args) -> int:
             f"error: {args.problem_file} holds an sdp_problem; consensus mode solves "
             "block_sdp documents (restricted dual or projected primal)"
         )
-    cfg = SolverConfig(
-        tolerance=args.tolerance if args.tolerance is not None else 1e-8,
-        mode="consensus" if args.mode == "consensus" else "interior_point",
-        trace_path=args.trace,
-        workers=args.jobs or 1,
-    )
+    try:
+        cfg = SolverConfig(
+            tolerance=args.tolerance if args.tolerance is not None else 1e-8,
+            mode="consensus" if args.mode == "consensus" else "interior_point",
+            trace_path=args.trace,
+            workers=args.jobs if args.jobs is not None else 1,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     sol = solve(problem, cfg)
     payload = sol.to_json_dict()
     if args.out:

@@ -44,7 +44,7 @@ from .sketch import (
     load_problem,
     restrict_dual,
 )
-from .solver import SolverConfig, Solution, Status, check_mode, solve
+from .solver import SolverConfig, Solution, Status, check_mode, check_tolerance, solve
 from .sos import SdpProblem, compile_pop
 
 
@@ -75,6 +75,7 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         check_mode(self.mode)
+        check_tolerance(self.tolerance)
 
     def solver_config(self) -> SolverConfig:
         """The IPM, or consensus with `jobs` as its worker count."""

@@ -4,7 +4,10 @@ HKM-style symmetrized directions with a Mehrotra predictor-corrector and a
 dense Schur complement, bordered by one row and column for tau.  The
 embedding supplies certificates when the solved problem
 (min <D,S>  s.t. rows = g, S PSD) is infeasible or unbounded; the
-tau/kappa indicator gates which branch is reported.
+tau/kappa indicator gates which branch is reported.  Each iterate applies
+the row map and its adjoint once: rows(X) and adj(w) give the residuals
+r1 = rows(X) - g tau and r2 = adj(w) + Z - D tau, and the stopping test, both
+certificate tests and the Newton right-hand side all read them.
 
 X, Z, the directions and the returned blocks are lists with one (N, r, r)
 array per block group of the row system (see conic).  X and Z are factored
@@ -107,21 +110,23 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
     def cost_of(xb) -> float:
         return sum(float(np.vdot(db, x)) for db, x in zip(D, xb))
 
-    def scaled_residuals():
-        # Residuals in raw data units so termination matches external replay.
-        xh = [x / tau for x in X]
-        wh = w / tau
-        zh = [z / tau for z in Z]
-        pres = s_g * np.linalg.norm(ops.apply(xh) - g) / (1.0 + s_g * g_norm)
-        adjb = ops.adjoint_blocks(wh)
-        dn2 = sum(float(np.sum((ab + zb - db) ** 2)) for ab, zb, db in zip(adjb, zh, D))
-        dres = s_c * np.sqrt(dn2) / (1.0 + s_c * c_scaled)
-        pobj = cost_of(xh) * s_c * s_g
-        dobj = float(g @ wh) * s_c * s_g
+    def evaluate():
+        # rows(X) and adj(w), once per iterate, and what is read from them
+        ax = ops.apply(X)
+        adjw = ops.adjoint_blocks(w)
+        r1 = ax - g * tau
+        r2 = [ab + z - db * tau for ab, z, db in zip(adjw, Z, D)]
+        cx, by = cost_of(X), float(g @ w)
+        # Residuals of (X, w, Z)/tau in raw data units, so termination matches
+        # external replay (both maps are linear).
+        pres = s_g * np.linalg.norm(r1) / tau / (1.0 + s_g * g_norm)
+        dres = s_c * np.sqrt(sum(float(np.sum(r * r)) for r in r2)) / tau / (1.0 + s_c * c_scaled)
+        pobj = cx / tau * s_c * s_g
+        dobj = by / tau * s_c * s_g
         pu = prog.user_objective(pobj)
         du = prog.user_objective(dobj)
         gap = abs(pu - du) / (1.0 + abs(pu) + abs(du))
-        return pres, dres, gap, pobj, dobj
+        return ax, adjw, r1, r2, cx, by, pres, dres, gap, pobj, dobj
 
     trace_rows: list = []
     status = MAX_ITERATIONS
@@ -135,7 +140,7 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
     work = Counter() if trace else None
 
     for it in range(1, max_iterations + 1):
-        pres, dres, gap, pobj, dobj = scaled_residuals()
+        ax, adjw, r1, r2b, cx, by, pres, dres, gap, pobj, dobj = evaluate()
         mu = (sum(float(np.vdot(x, z)) for x, z in zip(X, Z)) + tau * kappa) / nu
         if trace:
             trace_rows.append(dict(iteration=it, mu=mu, primal=pres, dual=dres,
@@ -145,33 +150,29 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
             work.clear()
         score = max(pres, dres, gap)
         if score < best_score:
+            # X, w and Z are replaced at every step, never changed in place.
             best_score = score
-            best_state = ([x.copy() for x in X], w.copy(),
-                          [z.copy() for z in Z], tau, kappa)
+            best_state = (X, w, Z, tau, kappa, pobj, dobj)
         if pres <= tolerance and dres <= tolerance and gap <= tolerance:
             status = OPTIMAL
             break
 
         # Infeasibility certificates; tau/kappa gates the declaration.
         tk_gate = tau <= TAU_KAPPA_RATIO * max(kappa, 1e-30)
-        by = float(g @ w)
         if by > 0.0 and tk_gate:
-            wn = w / by
-            zn = [z / by for z in Z]
-            adjb = ops.adjoint_blocks(wn)
-            cert_res = np.sqrt(sum(float(np.sum((ab + zb) ** 2)) for ab, zb in zip(adjb, zn)))
-            if cert_res <= INFEASIBILITY_TOL * (1.0 + np.linalg.norm(wn)):
+            # residual of the certificate (w, Z)/by
+            cert_res = np.sqrt(sum(float(np.sum((ab + z) ** 2)) for ab, z in zip(adjw, Z))) / by
+            if cert_res <= INFEASIBILITY_TOL * (1.0 + np.linalg.norm(w) / by):
                 status = PRIMAL_INFEASIBLE
-                certificate = {"w": wn, "z_blocks": zn}
+                certificate = {"w": w / by, "z_blocks": [z / by for z in Z]}
                 break
-        cx = cost_of(X)
         if cx < 0.0 and tk_gate:
-            xn = [x / (-cx) for x in X]
-            cert_res = float(np.linalg.norm(ops.apply(xn)))
-            xn_norm = np.sqrt(sum(float(np.sum(x * x)) for x in xn))
-            if cert_res <= INFEASIBILITY_TOL * (1.0 + xn_norm):
+            # residual of the certificate X/(-cx)
+            cert_res = float(np.linalg.norm(ax)) / -cx
+            x_norm = np.sqrt(sum(float(np.sum(x * x)) for x in X))
+            if cert_res <= INFEASIBILITY_TOL * (1.0 + x_norm / -cx):
                 status = DUAL_INFEASIBLE
-                certificate = {"x_blocks": xn}
+                certificate = {"x_blocks": [x / (-cx) for x in X]}
                 break
 
         try:  # X or Z can pass Cholesky and still be singular in rounding
@@ -184,11 +185,7 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         zinvs = [sym(np.swapaxes(li[1], -1, -2) @ li[1]) for li in linvs]
 
         M = ops.schur(X, zinvs)
-
-        r1 = ops.apply(X) - g * tau
-        adjw = ops.adjoint_blocks(w)
-        r2b = [ab + z - db * tau for ab, z, db in zip(adjw, Z, D)]
-        r3 = float(g @ w) - cost_of(X) - kappa
+        r3 = by - cx - kappa
 
         xdz = [x @ db @ zi for x, db, zi in zip(X, D, zinvs)]
         p_vec = ops.row_inner(xdz)
@@ -225,11 +222,9 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
             status = NUMERICAL_FAILURE
             break
 
-        def newton_pass(rho_blocks, rho_tk):
-            corr = [
-                rb @ zi - x + x @ r2 @ zi
-                for rb, zi, x, r2 in zip(rho_blocks, zinvs, X, r2b)
-            ]
+        def newton_pass(lead, rho_tk):
+            # lead is rho Z^-1 - X, and just -X in the predictor, whose rho is zero
+            corr = [ld + x @ r2 @ zi for ld, x, r2, zi in zip(lead, X, r2b, zinvs)]
             q_vec = ops.row_inner(corr)
             q_d = sum(float(np.vdot(db, sym(c))) for db, c in zip(D, corr))
             rhs = np.zeros(dim)
@@ -254,8 +249,7 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
             dkappa = (rho_tk - tau * kappa - kappa * dtau) / tau
             return dX, dw, dZ, dtau, dkappa
 
-        zero_rho = [np.zeros(e.shape) for e in eyes]
-        dXa, dwa, dZa, dtaua, dkappaa = newton_pass(zero_rho, 0.0)
+        dXa, dwa, dZa, dtaua, dkappaa = newton_pass([-x for x in X], 0.0)
         alpha_a = _max_alpha(linvs, dXa, dZa, tau, kappa, dtaua, dkappaa, 1.0, work)
         mu_aff = (
             sum(
@@ -266,9 +260,9 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         ) / nu
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8))
 
-        rho_blocks = [sigma * mu * e - dxa @ dza for e, dxa, dza in zip(eyes, dXa, dZa)]
-        rho_tk = sigma * mu - dtaua * dkappaa
-        dX, dw, dZ, dtau, dkappa = newton_pass(rho_blocks, rho_tk)
+        lead = [(sigma * mu * e - dxa @ dza) @ zi - x
+                for e, dxa, dza, zi, x in zip(eyes, dXa, dZa, zinvs, X)]
+        dX, dw, dZ, dtau, dkappa = newton_pass(lead, sigma * mu - dtaua * dkappaa)
 
         alpha = _max_alpha(linvs, dX, dZ, tau, kappa, dtau, dkappa, STEP_FRACTION, work)
         for _ in range(40):
@@ -302,15 +296,16 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         tau += alpha * dtau
         kappa += alpha * dkappa
         last_alpha = alpha
+    else:  # the last step's iterate is not evaluated yet
+        *_, pres, dres, gap, pobj, dobj = evaluate()
+        score = max(pres, dres, gap)
 
     if status not in (OPTIMAL, PRIMAL_INFEASIBLE, DUAL_INFEASIBLE) and best_state is not None:
-        cur = max(scaled_residuals()[:3])
-        if best_score < cur:
-            X, w, Z, tau, kappa = best_state
+        if best_score < score:
+            X, w, Z, tau, kappa, pobj, dobj = best_state
         if status == NUMERICAL_FAILURE and best_score < 1e-4:
             # The factorization gave out only after the residuals stalled.
             status = MAX_ITERATIONS
-    pobj, dobj = scaled_residuals()[3:]
     return ConicResult(
         status=status,
         x_blocks=[x * (s_g / tau) for x in X],

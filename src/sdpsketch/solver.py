@@ -44,9 +44,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -83,6 +85,11 @@ def check_mode(mode) -> None:
         raise ValueError(f"mode must be one of {', '.join(map(repr, MODES))}, got {mode!r}")
 
 
+def check_tolerance(tolerance) -> None:
+    if not (isinstance(tolerance, Real) and 0 < tolerance < math.inf):
+        raise ValueError(f"tolerance must be a finite number above 0, got {tolerance!r}")
+
+
 @dataclass
 class SolverConfig:
     tolerance: float = 1e-8
@@ -98,6 +105,9 @@ class SolverConfig:
 
     def __post_init__(self):
         check_mode(self.mode)
+        check_tolerance(self.tolerance)
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass

@@ -5,6 +5,7 @@ host that exposes fewer; its line prints the measured ratio alongside the
 core count.
 """
 
+import csv
 import os
 import time
 from pathlib import Path
@@ -106,6 +107,16 @@ def test_a2_rank_sweep_shape(pop_sweep):
     assert monotone_ok, f"median objective not nondecreasing under --nested: {medians}"
     assert first_ok, f"rank-1 median is {first}, expected -inf or < 0"
     assert reach_ok, f"objective never stabilizes at 0 within 1e-3 by rank 25: {medians}"
+
+
+def test_nested_sweep_status_counts(pop_sweep):
+    # The behaviour contract's status counts of the default nested sweep.
+    _, res = pop_sweep
+    with open(res.table_path) as fh:
+        counts = {row["rank"]: row["status_counts"] for row in csv.DictReader(fh)}
+    want = {"full": "Optimal:1", "1": "Infeasible:5", "3": "Infeasible:5"}
+    want.update({str(r): "Optimal:5" for r in TABLE_RANKS[2:]})
+    assert counts == want
 
 
 def test_a3_exactness_at_full_rank(pop_problem, poc_problem):
@@ -304,7 +315,7 @@ def test_a8_consensus_worker_speedup():
 def test_a9_complexity_scaling():
     rng = np.random.default_rng(909)
     sizes = [25, 50, 100]
-    cfg = SolverConfig(max_iterations=10, tolerance=0.0)
+    cfg = SolverConfig(max_iterations=10, tolerance=1e-300)  # never met: 10 iterations
     solve(random_feasible_sdp(rng, 25, 75), cfg)  # warm numpy/BLAS caches
     times = []
     for n in sizes:

@@ -16,7 +16,7 @@ from sdpsketch._blas import _find_controls
 from sdpsketch.cli import main as cli_main
 from sdpsketch.experiments import ExperimentConfig, run_density, run_rank_sweep
 from sdpsketch.instances import infeasible_sdp, random_feasible_sdp, unbounded_sdp
-from sdpsketch.sketch import BlockSdp, load_problem
+from sdpsketch.sketch import BlockSdp, load_problem, restrict_dual, sample_ensemble
 from sdpsketch.solver import SolverConfig, _conic_from_restricted, solve
 
 
@@ -303,6 +303,18 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="mode"):
             SolverConfig(mode=bad)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf"), "1e-8"])
+    def test_tolerance_must_be_a_finite_number_above_zero(self, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            ExperimentConfig.from_json_dict({"tolerance": bad})
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(tolerance=bad)
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_workers_below_one_rejected(self, bad):
+        with pytest.raises(ValueError, match="workers"):
+            SolverConfig(workers=bad)
+
     def test_known_modes_accepted(self):
         for mode in ("interior_point", "ipm", "consensus"):
             assert ExperimentConfig(mode=mode).solver_config().mode == (
@@ -470,6 +482,29 @@ class TestCliSolve:
         msg = self.one_line_error(["sweep", "--kind", "poc", "--ranks", "0",
                                    "--out", str(tmp_path / "s")])
         assert "ranks" in msg
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_solve_with_a_nonsensical_tolerance_is_reported(self, tmp_path, rng, tol):
+        # once ran 200 iterations and exited 4 with MaxIterations
+        path = tmp_path / "p.json"
+        path.write_text(random_feasible_sdp(rng, 4, 2).to_json())
+        assert "tolerance" in self.one_line_error(["solve", str(path), "--tol", tol])
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_solve_with_jobs_below_one_is_reported(self, tmp_path, rng, jobs):
+        path = tmp_path / "cell.json"
+        prob = random_feasible_sdp(rng, 4, 2)
+        path.write_text(restrict_dual(prob, sample_ensemble(4, 2, 3, seed=0)).to_json())
+        msg = self.one_line_error(["solve", str(path), "--mode", "consensus", "--jobs", jobs])
+        assert "workers" in msg
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_sweep_with_a_nonsensical_tolerance_is_reported(self, tmp_path, tol):
+        # once wrote a table with every row, the reference too, MaxIterations:1
+        msg = self.one_line_error(["sweep", "--kind", "poc", "--ranks", "3", "--samples", "20",
+                                   "--seeds", "0", "--tol", tol, "--out", str(tmp_path / "s")])
+        assert "tolerance" in msg
         assert not (tmp_path / "s").exists()
 
     def test_sweep_config_with_unknown_mode_is_reported(self, tmp_path):

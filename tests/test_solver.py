@@ -336,6 +336,52 @@ class TestFactorReuse:
         assert 0 < calls["cholesky"] <= len(prog.ops.groups) * (2 * res.iterations + 1)
 
 
+class TestResidualReuse:
+    @pytest.mark.parametrize("cell", ["poc pair", "pop r3 infeasible"])
+    def test_rows_and_adjoint_run_once_per_residual(self, cell, monkeypatch):
+        # Per Newton step: rows(X) and adj(w) once, read by every residual test
+        # and the right-hand side, plus the Newton passes' row inner products
+        # (three applies) and adjoints of dw (two). The last iterate is only
+        # evaluated.
+        if cell == "poc pair":
+            prog = _conic_from_pair(compile_poc(default_poc_problem()))
+        else:  # its primal certificate test runs at 5 of its 9 iterates
+            pop = default_pop_problem()
+            prog = _conic_from_restricted(restrict_dual(pop, ensembles_for_problem(pop, 3, 100, 0)))
+        calls = {"apply": 0, "adjoint_blocks": 0}
+        for name in calls:
+            def counted(ops, *args, _real=getattr(type(prog.ops), name), _name=name):
+                calls[_name] += 1
+                return _real(ops, *args)
+
+            monkeypatch.setattr(type(prog.ops), name, counted)
+        res = solve_conic(prog)
+        assert res.status == (OPTIMAL if cell == "poc pair" else ipm.PRIMAL_INFEASIBLE)
+        steps = res.iterations - 1
+        assert calls["apply"] <= 4 * steps + 2, (calls, res.iterations)
+        assert calls["adjoint_blocks"] <= 3 * steps + 2, (calls, res.iterations)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rollback_returns_the_best_iterate_unchanged(self, seed):
+        # These POC rank-2 cells end on the rollback to their best iterate.
+        poc = compile_poc(default_poc_problem())
+        prog = _conic_from_restricted(restrict_dual(poc, ensembles_for_problem(poc, 2, 100, seed)))
+        res = solve_conic(prog, trace=True)
+        assert res.status == ipm.MAX_ITERATIONS
+        ops = prog.ops
+        primal = np.linalg.norm(ops.apply(res.x_blocks) - prog.rhs) / (1 + np.linalg.norm(prog.rhs))
+        c_norm = np.sqrt(sum(float(np.sum(c * c)) for c in prog.block_costs))
+        dual = np.sqrt(sum(float(np.sum((a + z - c) ** 2)) for a, z, c in
+                           zip(ops.adjoint_blocks(res.w), res.z_blocks, prog.block_costs)))
+        dual /= 1 + c_norm
+        best = min(res.trace, key=lambda row: max(row["primal"], row["dual"], row["gap"]))
+        last = res.trace[-1]
+        assert best is not last
+        assert primal == pytest.approx(best["primal"], rel=1e-6)
+        assert dual == pytest.approx(best["dual"], rel=1e-6)
+        assert (primal, dual) != pytest.approx((last["primal"], last["dual"]), rel=1e-6)
+
+
 class TestClassification:
     def test_infeasible_batch(self, rng):
         for k in range(10):
@@ -421,7 +467,7 @@ class TestScaling:
         # single-block instances with constraint count growing linearly in n;
         # per-iteration wall time against n should fit an exponent >= 2.5
         sizes = [25, 50, 100]
-        cfg = SolverConfig(max_iterations=10, tolerance=0.0)
+        cfg = SolverConfig(max_iterations=10, tolerance=1e-300)  # never met: 10 iterations
         solve(random_feasible_sdp(rng, 25, 75), cfg)  # warm numpy/BLAS caches
         times = []
         for n in sizes:
