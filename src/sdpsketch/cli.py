@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -121,6 +122,10 @@ def _read(path: str, load=_json_file):
 
 
 def _cmd_solve(args) -> int:
+    for path in (args.out, args.trace):  # refused before the solve, not after it
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise SystemExit(f"error: cannot write {path}: no directory "
+                             f"{os.path.dirname(path)}")
     problem = _read(args.problem_file, load_problem)
     if args.mode == "consensus" and not isinstance(problem, BlockSdp):
         raise SystemExit(

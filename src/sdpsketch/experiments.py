@@ -44,7 +44,7 @@ from .sketch import (
     load_problem,
     restrict_dual,
 )
-from .solver import SolverConfig, Solution, Status, check_mode, check_tolerance, solve
+from .solver import SolverConfig, Solution, Status, check_mode, check_positive, solve
 from .sos import SdpProblem, compile_pop
 
 
@@ -74,8 +74,12 @@ class ExperimentConfig:
         for name in ("samples", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if min(self.seeds, default=0) < 0:
+            raise ValueError(f"seeds must be at least 0, got {list(self.seeds)}")
         check_mode(self.mode)
-        check_tolerance(self.tolerance)
+        check_positive("tolerance", self.tolerance)
+        if self.ball_radius is not None:  # None drops the ball
+            check_positive("ball_radius", self.ball_radius)
 
     def solver_config(self) -> SolverConfig:
         """The IPM, or consensus with `jobs` as its worker count."""

@@ -14,6 +14,7 @@ from itertools import chain, product
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .polynomial import Basis, Monomial, Polynomial, monomial_basis, mul_monomials
 from .sketch import BlockSdp
@@ -179,7 +180,7 @@ def density_grid(
             if e:
                 col = col * pts[:, var] ** e
         phi[:, k] = col
-    half = np.linalg.solve(chol, phi.T)
+    half = solve_triangular(chol, phi.T, lower=True)
     quad = np.sum(half * half, axis=0)
     vals = 1.0 / np.maximum(quad, 1e-300)
     vals = vals / vals.sum()

@@ -85,9 +85,9 @@ def check_mode(mode) -> None:
         raise ValueError(f"mode must be one of {', '.join(map(repr, MODES))}, got {mode!r}")
 
 
-def check_tolerance(tolerance) -> None:
-    if not (isinstance(tolerance, Real) and 0 < tolerance < math.inf):
-        raise ValueError(f"tolerance must be a finite number above 0, got {tolerance!r}")
+def check_positive(name: str, value) -> None:
+    if not (isinstance(value, Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
 
 
 @dataclass
@@ -105,7 +105,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_mode(self.mode)
-        check_tolerance(self.tolerance)
+        check_positive("tolerance", self.tolerance)
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
 
@@ -220,12 +220,13 @@ def _reduced_form(problem: SdpProblem) -> Optional[BlockSdp]:
 
     A rank-deficient A is left to the pair form: with b outside its range the
     elimination would solve a least-squares problem instead.  The reduction
-    and its QR are built here, before the solve holds BLAS at one thread, as
-    a sweep builds them, so a sweep's cells get the same bits whichever
-    solve builds them first.
+    and its QR are built here, and its complement basis by the layout
+    builder, before the solve holds BLAS at one thread, as a sweep builds
+    them, so a sweep's cells get the same bits whichever solve builds them
+    first.
     """
     dim, m = problem.a_svec.shape
-    if 2 * m <= dim or problem.reduction.perp.shape[1] != dim - m:  # rank(A) < m
+    if 2 * m <= dim or problem.reduction.rank < m:
         return None
     # Built in place, never serialized: a recipe would regenerate a random U.
     return restrict_dual(problem, [

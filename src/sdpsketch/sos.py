@@ -30,11 +30,11 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, qr, solve_triangular
 
 from ._linalg import SQRT2, nullspace, smat, svec, svec_dim, svec_weights, sym, triu_indices
 from .polynomial import (
@@ -245,22 +245,30 @@ class SdpProblem:
 class RestrictedReduction:
     """Elimination of y from S = C - sum_j y_j A_j, shared by every restricted
     dual of one base problem: rows perp' svec(S) = perp' svec(C), cost
-    w_obj = A (A'A)^-1 b, and y recovered from S by the Gram solve."""
+    w_obj = A (A'A)^-1 b, and y recovered from S by the Gram solve.
+
+    One column-pivoted QR of A, A P = Q R, serves all of it.  Q is kept as
+    LAPACK's Householder reflectors, never formed.  The rank is the number of
+    |R_kk| above 1e-11 times the first pivot.  At full rank A'A = P R'R P',
+    so the Gram solve is two triangular solves with R; a rank-deficient A
+    solves its Gram system by a ridge Cholesky, or a pseudo-inverse if that
+    fails.
+    """
 
     def __init__(self, base: SdpProblem):
         a_mat = base.a_svec
         c_vec = base.pack(base.cost_blocks)
         m = base.num_constraints
+        self.rank = 0
+        self.solve_gram = lambda rhs: rhs
         if m:
-            gram = a_mat.T @ a_mat
-            try:
-                cho = cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
-                self.solve_gram = lambda rhs: cho_solve(cho, rhs)
-            except np.linalg.LinAlgError:
-                pinv = np.linalg.pinv(gram)
-                self.solve_gram = lambda rhs: pinv @ rhs
-        else:
-            self.solve_gram = lambda rhs: rhs
+            (self._reflectors, self._tau), r, piv = qr(a_mat, mode="raw", pivoting=True)
+            diag = np.abs(np.diag(r))
+            self.rank = int(np.sum(diag > (diag[0] if diag.size else 1.0) * 1e-11))
+            if self.rank == m:
+                self.solve_gram = partial(_pivoted_gram_solve, r[:m, :m], piv)
+            else:
+                self.solve_gram = _ridge_gram_solve(a_mat)
         w_obj = a_mat @ self.solve_gram(base.rhs)
 
         self.base = base
@@ -269,22 +277,25 @@ class RestrictedReduction:
         self.c_vec = c_vec
         self.const = float(w_obj @ c_vec) + base.obj_offset
 
-    # The complement basis needs a complete QR of a_mat; only the interior-point
-    # layout uses it, so the consensus solver never pays for it.
+    # Only the interior-point layout reads the complement basis, so the
+    # consensus solver never applies the reflectors.
     @cached_property
     def perp(self) -> np.ndarray:
-        """Orthonormal basis of the complement of span{svec(A_j)}.
-
-        The trailing columns of a column-pivoted complete QR; the rank is the
-        number of |R_kk| above 1e-11 times the first pivot.
-        """
-        if not self.base.num_constraints:
-            return np.eye(self.a_mat.shape[0])
-        q, r, _ = qr(self.a_mat, mode="full", pivoting=True)
-        diag = np.abs(np.diag(r))
-        tol = (diag[0] if diag.size else 1.0) * 1e-11
-        rank = int(np.sum(diag > tol))
-        return q[:, rank:]
+        """Orthonormal basis of the complement of span{svec(A_j)}: the trailing
+        dim - rank columns of Q, the reflectors applied to those of I."""
+        dim, m = self.a_mat.shape
+        if not m:
+            return np.eye(dim)
+        # Q holds min(dim, m) reflectors; a wide A's raw array has more columns.
+        k = min(dim, m)
+        reflectors, tau = self._reflectors[:, :k], self._tau[:k]
+        tail = np.eye(dim, dim - self.rank, -self.rank, order="F")
+        ormqr, = get_lapack_funcs(("ormqr",), (reflectors,))
+        _, work, _ = ormqr("L", "N", reflectors, tau, tail, -1)
+        q, _, info = ormqr("L", "N", reflectors, tau, tail, int(work[0]), overwrite_c=1)
+        if info:
+            raise np.linalg.LinAlgError(f"ormqr failed with info {info}")
+        return q
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -300,6 +311,27 @@ class RestrictedReduction:
 
     def moment_matrices(self, w: np.ndarray) -> List[np.ndarray]:
         return self.base.unpack(self.w_obj - self.perp @ w)
+
+
+def _pivoted_gram_solve(r: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(A'A)^-1 rhs from A P = Q R with R square: A'A = P R'R P'."""
+    z = solve_triangular(r, solve_triangular(r, rhs[piv], trans="T"))
+    out = np.empty_like(z)
+    out[piv] = z
+    return out
+
+
+def _ridge_gram_solve(a_mat: np.ndarray):
+    """A solver of A'A x = rhs for a rank-deficient A: a Cholesky of A'A with
+    a ridge of 1e-14 tr/m, or a pseudo-inverse if that fails."""
+    gram = a_mat.T @ a_mat
+    m = gram.shape[0]
+    try:
+        cho = cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
+        return lambda rhs: cho_solve(cho, rhs)
+    except np.linalg.LinAlgError:
+        pinv = np.linalg.pinv(gram)
+        return lambda rhs: pinv @ rhs
 
 
 def _symmetric(mat, dim: int, what: str) -> np.ndarray:

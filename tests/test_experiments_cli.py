@@ -310,6 +310,20 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="tolerance"):
             SolverConfig(tolerance=bad)
 
+    @pytest.mark.parametrize("bad", [[-1], [0, -3]])
+    def test_negative_seed_rejected(self, bad):
+        # once reached numpy's SeedSequence and ended in its traceback
+        with pytest.raises(ValueError, match="seeds"):
+            ExperimentConfig.from_json_dict({"seeds": bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, "2"])
+    def test_ball_radius_must_be_a_finite_number_above_zero(self, bad):
+        with pytest.raises(ValueError, match="ball_radius"):
+            ExperimentConfig.from_json_dict({"ball_radius": bad})
+
+    def test_no_ball_is_accepted(self):
+        assert ExperimentConfig.from_json_dict({"ball_radius": None}).ball_radius is None
+
     @pytest.mark.parametrize("bad", [0, -2])
     def test_workers_below_one_rejected(self, bad):
         with pytest.raises(ValueError, match="workers"):
@@ -506,6 +520,47 @@ class TestCliSolve:
                                    "--seeds", "0", "--tol", tol, "--out", str(tmp_path / "s")])
         assert "tolerance" in msg
         assert not (tmp_path / "s").exists()
+
+    def test_sweep_with_a_negative_seed_is_reported(self, tmp_path):
+        msg = self.one_line_error(["sweep", "--kind", "poc", "--seeds", "-1",
+                                   "--out", str(tmp_path / "s")])
+        assert "seeds" in msg
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "poc", "seeds": [-1]}))
+        msg = self.one_line_error(["sweep", "--config", str(cfg_path),
+                                   "--out", str(tmp_path / "s")])
+        assert "seeds" in msg
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+    def test_sweep_with_a_bad_ball_radius_is_reported(self, tmp_path, radius):
+        # nan and inf once failed in an SVD that named no input; -1 acted as 1
+        msg = self.one_line_error(["sweep", "--ball-radius", radius,
+                                   "--out", str(tmp_path / "s")])
+        assert "ball_radius" in msg
+        assert not (tmp_path / "s").exists()
+
+    def test_nan_ball_radius_prints_one_error_line_and_nothing_else(self, tmp_path):
+        # LAPACK once printed DLASCL complaints on standard output before the error
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdpsketch.cli", "density", "--ball-radius", "nan",
+             "--out", str(tmp_path / "d")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "ball_radius" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_solve_output_under_a_missing_directory_is_reported(self, tmp_path, rng,
+                                                              monkeypatch, flag):
+        # once solved first and then ended in a FileNotFoundError traceback
+        path = self.write(tmp_path, random_feasible_sdp(rng, 4, 2))
+        monkeypatch.setattr("sdpsketch.cli.solve", lambda *a: pytest.fail("solved"))
+        target = tmp_path / "missing" / "out.file"
+        msg = self.one_line_error(["solve", str(path), flag, str(target)])
+        assert str(target) in msg
+        assert not target.parent.exists()
 
     def test_sweep_config_with_unknown_mode_is_reported(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

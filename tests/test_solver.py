@@ -289,6 +289,14 @@ class TestSchurFormulas:
                                      if s is None), name
 
 
+def _duplicated_constraint(rng) -> SdpProblem:
+    """A feasible pair on one 4 x 4 block whose last constraint repeats its first."""
+    prob = random_feasible_sdp(rng, 4, 7)
+    return SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
+                      a_svec=np.hstack([prob.a_svec, prob.a_svec[:, :1]]),
+                      rhs=np.append(prob.rhs, prob.rhs[0]))
+
+
 class TestComplementBasis:
     def test_default_pop_basis_spans_the_svd_complement(self):
         red = default_pop_problem().reduction
@@ -302,10 +310,7 @@ class TestComplementBasis:
         assert np.abs(perp @ perp.T - oracle @ oracle.T).max() <= 1e-10
 
     def test_duplicated_constraint_counts_once(self, rng):
-        prob = random_feasible_sdp(rng, 4, 7)
-        dup = SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
-                         a_svec=np.hstack([prob.a_svec, prob.a_svec[:, :1]]),
-                         rhs=np.append(prob.rhs, prob.rhs[0]))
+        dup = _duplicated_constraint(rng)
         dim, m = dup.a_svec.shape
         perp = dup.reduction.perp
         assert perp.shape == (dim, dim - m + 1)
@@ -315,6 +320,56 @@ class TestComplementBasis:
         prob = SdpProblem(block_dims=(2, 3), cost_blocks=(np.eye(2), np.eye(3)),
                           constraints=[], sense="min")
         assert np.array_equal(prob.reduction.perp, np.eye(9))
+
+    def test_wide_constraint_matrix(self, rng):
+        # m > dim: the raw QR holds more columns than Q has reflectors
+        a_svec = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 8))
+        prob = SdpProblem(block_dims=(3,), cost_blocks=(np.eye(3),), a_svec=a_svec,
+                          rhs=rng.standard_normal(8))
+        red = prob.reduction
+        assert red.rank == 4
+        assert red.perp.shape == (6, 2)
+        assert np.abs(red.perp.T @ red.perp - np.eye(2)).max() <= 1e-12
+        assert np.abs(a_svec.T @ red.perp).max() <= 1e-12
+        v = a_svec @ rng.standard_normal(8)  # in A's range
+        assert np.abs(a_svec @ red.solve_gram(a_svec.T @ v) - v).max() <= 1e-6 * np.abs(v).max()
+
+    def test_full_rank_gram_solve_from_r(self, rng, monkeypatch):
+        from sdpsketch import sos
+
+        monkeypatch.setattr(sos, "_ridge_gram_solve", lambda a: pytest.fail("A'A formed"))
+        red = default_pop_problem().reduction
+        assert red.rank == red.a_mat.shape[1] == 547
+        rhs = rng.standard_normal((547, 2))
+        want = np.linalg.solve(red.a_mat.T @ red.a_mat, rhs)
+        assert np.abs(red.solve_gram(rhs) - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.abs(red.solve_gram(rhs[:, 0]) - want[:, 0]).max() <= 1e-10 * np.abs(want).max()
+
+    def test_rank_deficient_a_keeps_the_gram_rule(self, rng):
+        from scipy.linalg import cho_factor, cho_solve
+
+        prob = _duplicated_constraint(rng)
+        a_mat = prob.a_svec
+        m = a_mat.shape[1]
+        assert prob.reduction.rank == m - 1
+        gram = a_mat.T @ a_mat
+        rhs = rng.standard_normal(m)
+        cho = cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
+        assert np.array_equal(prob.reduction.solve_gram(rhs), cho_solve(cho, rhs))
+
+    def test_rank_deficient_pair_form_builds_no_complement(self, rng):
+        prob = _duplicated_constraint(rng)
+        dim, m = prob.a_svec.shape
+        assert 2 * m > dim  # so the rank, not the size, keeps the pair form
+        assert _reduced_form(prob) is None
+        assert "reduction" in prob.__dict__ and "perp" not in prob.reduction.__dict__
+
+    def test_basis_is_the_same_after_a_file_round_trip(self):
+        prob = default_pop_problem()
+        back = SdpProblem.from_json(prob.to_json())
+        assert back is not prob and "reduction" not in back.__dict__
+        assert np.array_equal(back.a_svec, prob.a_svec)
+        assert np.array_equal(back.reduction.perp, prob.reduction.perp)
 
 
 class TestFactorReuse:
