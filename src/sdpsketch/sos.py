@@ -266,7 +266,7 @@ class RestrictedReduction:
             diag = np.abs(np.diag(r))
             self.rank = int(np.sum(diag > (diag[0] if diag.size else 1.0) * 1e-11))
             if self.rank == m:
-                self.solve_gram = partial(_pivoted_gram_solve, r[:m, :m], piv)
+                self.solve_gram = partial(_pivoted_gram_solve, r, piv)  # r is m x m
             else:
                 self.solve_gram = _ridge_gram_solve(a_mat)
         w_obj = a_mat @ self.solve_gram(base.rhs)
