@@ -39,7 +39,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._blas import limit_blas_threads
 from ._linalg import (
     aggregate_congruence_operator,
     lift_congruence,
@@ -149,10 +148,8 @@ class SampleRows:
     1/2 on the diagonal.  Then <G_ij, T> = upper[j, (p, i)] summed against
     T[a_p, b_p] + T[b_p, a_p] over p, and the Schur share is one GEMM.
 
-    G is built by one GEMM over the stacked U' and one batched product, at
-    one BLAS thread as a solve's products are, so a cell file re-solved on
-    its own gets the same G bits as the sweep that wrote it.  An identity
-    group's G is smat(R_j) itself.
+    G is built by one GEMM over the stacked U' and one batched product,
+    inside the solve, so at the one BLAS thread of its other products.
     """
 
     def __init__(self, ut: np.ndarray, rows: np.ndarray):
@@ -163,12 +160,8 @@ class SampleRows:
         vals = (rows / svec_weights(n)).T
         base[ia, :, ib] = vals
         base[ib, :, ia] = vals
-        if big_n == 1 and r == n and np.array_equal(ut[0], np.eye(n)):
-            g = base[None]
-        else:
-            with limit_blas_threads(1):
-                y = (ut.reshape(big_n * r, n) @ base.reshape(n, m * n)).reshape(big_n, r * m, n)
-                g = (y @ ut.transpose(0, 2, 1)).reshape(big_n, r, m, r)
+        y = (ut.reshape(big_n * r, n) @ base.reshape(n, m * n)).reshape(big_n, r * m, n)
+        g = (y @ ut.transpose(0, 2, 1)).reshape(big_n, r, m, r)
         self.shape = (big_n, r, m)
         self.g = np.ascontiguousarray(g.reshape(big_n, r, m * r))
         self.ia, self.ib = triu_indices(r)

@@ -37,7 +37,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
 
-from ._blas import limit_blas_threads
 from ._linalg import congruence_band, congruence_rows, sym
 from ._team import Arena, Team
 from .sketch import BlockSdp, lift_blocks
@@ -312,14 +311,14 @@ def solve_consensus(problem: BlockSdp, config) -> Solution:
         raise TypeError("consensus mode expects a restricted-dual BlockSdp")
     t_start = time.perf_counter()
     red = problem.base.reduction
-    with limit_blas_threads(1):
-        ws = _Workspace([_Group(ens) for ens in problem.ensembles], problem.base.offsets,
-                        red.a_mat, config.workers)
-        try:
-            return _solve(problem, config, red, ws, t_start)
-        finally:
-            # Unpin before BLAS may start threads again: they would inherit the pin.
-            ws.close()
+    ws = _Workspace([_Group(ens) for ens in problem.ensembles], problem.base.offsets,
+                    red.a_mat, config.workers)
+    try:
+        return _solve(problem, config, red, ws, t_start)
+    finally:
+        # Unpin while the solve still holds BLAS at one thread: threads it
+        # starts afterwards would inherit the pin.
+        ws.close()
 
 
 def _solve(problem: BlockSdp, config, red, ws: _Workspace, t_start: float) -> Solution:

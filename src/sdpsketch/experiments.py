@@ -10,7 +10,9 @@ and a reference to that file, "base_ref": "base.json" (resolved relative to
 the cell file), with the sha256 of its bytes.
 
 The cells of an IPM sweep are the tasks of one `_team.Team` of up to `jobs`
-processes, each at one BLAS thread, so the files do not depend on `jobs`.
+processes.  Every solve, and the reduction its cells share, runs at one BLAS
+thread, so the files depend neither on `jobs` nor on the caller's BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ class ExperimentConfig:
         for name in ("samples", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if min(self.seeds, default=0) < 0:
-            raise ValueError(f"seeds must be at least 0, got {list(self.seeds)}")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be one or more values of at least 0, "
+                             f"got {list(self.seeds)}")
         check_mode(self.mode)
         check_positive("tolerance", self.tolerance)
         if self.ball_radius is not None:  # None drops the ball
@@ -203,7 +206,7 @@ def run_rank_sweep(cfg: ExperimentConfig, write: bool = True,
 
     cells = _build_cells(base, cfg)
     ipm = solver_cfg.mode != "consensus"
-    if ipm:  # built in the caller before the team forks: one QR, alike at every `jobs`
+    if ipm:  # built before the team forks: its helpers share one reduction, not one each
         base.reduction.row_segments
     statuses = list(Status)
     rows = Arena([(len(cells), 4)]).arrays[0]  # status, objective, iterations, wall

@@ -38,6 +38,11 @@ Every layout reads the base problem's one svec constraint matrix a_svec:
 the pair form as DenseRows row segments, each restricted dual through the
 problem's elimination data (SdpProblem.reduction, shared with the consensus
 solver), and the KKT replay through dual_slack and constraint_values.
+
+A solve holds BLAS at one thread from its layout build to its KKT replay,
+and the reduction builds itself at one thread wherever it is first touched,
+so a solve's output depends only on its input: not on the caller's thread
+count, nor on what built the reduction first.
 """
 
 from __future__ import annotations
@@ -219,11 +224,7 @@ def _reduced_form(problem: SdpProblem) -> Optional[BlockSdp]:
     its elimination of y is exact; otherwise None.
 
     A rank-deficient A is left to the pair form: with b outside its range the
-    elimination would solve a least-squares problem instead.  The reduction
-    and its QR are built here, and its complement basis by the layout
-    builder, before the solve holds BLAS at one thread, as a sweep builds
-    them, so a sweep's cells get the same bits whichever solve builds them
-    first.
+    elimination would solve a least-squares problem instead.
     """
     dim, m = problem.a_svec.shape
     if 2 * m <= dim or problem.reduction.rank < m:
@@ -328,21 +329,16 @@ def solve_consensus(problem: BlockSdp, config: SolverConfig | None = None) -> So
 
 
 def _solve_with(impl, problem, config: SolverConfig) -> Solution:
-    """impl(problem, config), with the projected primal solved as its conic dual."""
-    if isinstance(problem, BlockSdp) and problem.kind == "projected_primal":
-        sol = impl(restrict_dual(problem.base, problem.ensembles), config)
-        sol.status = _read_status(sol.status, problem.sense, "max")
-        return sol
-    return impl(problem, config)
-
-
-def _solve_conic(prog: ConicProgram, config: SolverConfig) -> ConicResult:
-    # An iteration is many small matrix calls, which more BLAS threads slow
-    # down on a few shared cores: the default POP pair takes 1.1 s at two
-    # threads and 0.5 s at one on a 2-core host.
+    """impl(problem, config) at one BLAS thread (see the module docstring),
+    with the projected primal solved as its conic dual.  One thread is also
+    faster: an iteration is many small matrix calls, and the default POP
+    pair took 1.1 s at two threads and 0.5 s at one on a 2-core host."""
     with limit_blas_threads(1):
-        return solve_conic(prog, config.tolerance, config.max_iterations,
-                           config.keep_trace or config.trace_path is not None)
+        if isinstance(problem, BlockSdp) and problem.kind == "projected_primal":
+            sol = impl(restrict_dual(problem.base, problem.ensembles), config)
+            sol.status = _read_status(sol.status, problem.sense, "max")
+            return sol
+        return impl(problem, config)
 
 
 def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> Solution:
@@ -355,7 +351,8 @@ def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> So
     else:
         raise TypeError(f"cannot solve object of type {type(problem)!r}")
     prog = _conic_from_pair(problem) if bs is None else _conic_from_restricted(bs)
-    res = _solve_conic(prog, config)
+    res = solve_conic(prog, config.tolerance, config.max_iterations,
+                      config.keep_trace or config.trace_path is not None)
     # The conic primal holds the max side of the problem's pair exactly when gap_flip is set.
     solved_sense = "max" if prog.gap_flip else "min"
     status = _read_status(_STATUS[res.status], problem.sense, solved_sense)
@@ -364,11 +361,10 @@ def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> So
     else:
         value = res.primal_objective if problem.sense == solved_sense else res.dual_objective
         if bs is None:
-            y, moments = res.w, _unstack(res.x_blocks)
-            slacks = [sym(z) for z in _unstack(res.z_blocks)]
+            y, moments, slacks = res.w, _unstack(res.x_blocks), _unstack(res.z_blocks)
         else:
             red = bs.base.reduction
-            slacks = _unstack([sym(s) for s in res.x_blocks])
+            slacks = _unstack(res.x_blocks)
             y, moments = red.recover_y(lift_blocks(bs, slacks)), red.moment_matrices(res.w)
         sol = _solution(problem, status, prog.user_objective(value), y, moments, slacks)
     return _finish(sol, problem, config, res.iterations, res.trace, t0)

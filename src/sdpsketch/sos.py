@@ -21,8 +21,8 @@ from.  The older coordinate form, one {"rhs", "blocks"} entry per
 constraint, is still read.
 
 A problem owns the elimination data of its restricted duals
-(SdpProblem.reduction), built on first use, shared by every restriction
-and left behind by pickles and copies.
+(SdpProblem.reduction), built on first use at one BLAS thread, shared by
+every restriction and left behind by pickles and copies.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, qr, solve_triangular
 
+from ._blas import limit_blas_threads
 from ._linalg import SQRT2, nullspace, smat, svec, svec_dim, svec_weights, sym, triu_indices
 from .polynomial import (
     Basis,
@@ -134,9 +135,10 @@ class SdpProblem:
     @cached_property
     def reduction(self) -> "RestrictedReduction":
         """The elimination data of every restricted dual of this problem, built
-        on first use and shared by all of them (a sweep builds it before its
-        helper processes fork)."""
-        return RestrictedReduction(self)
+        on first use, at one BLAS thread like its lazy parts, so its bits do
+        not depend on where it is first touched; shared by all of them."""
+        with limit_blas_threads(1):
+            return RestrictedReduction(self)
 
     def __getstate__(self):
         # Pickles and copies leave the reduction behind; it is rebuilt on use.
@@ -291,15 +293,17 @@ class RestrictedReduction:
         reflectors, tau = self._reflectors[:, :k], self._tau[:k]
         tail = np.eye(dim, dim - self.rank, -self.rank, order="F")
         ormqr, = get_lapack_funcs(("ormqr",), (reflectors,))
-        _, work, _ = ormqr("L", "N", reflectors, tau, tail, -1)
-        q, _, info = ormqr("L", "N", reflectors, tau, tail, int(work[0]), overwrite_c=1)
+        with limit_blas_threads(1):
+            _, work, _ = ormqr("L", "N", reflectors, tau, tail, -1)
+            q, _, info = ormqr("L", "N", reflectors, tau, tail, int(work[0]), overwrite_c=1)
         if info:
             raise np.linalg.LinAlgError(f"ormqr failed with info {info}")
         return q
 
     @cached_property
     def rhs(self) -> np.ndarray:
-        return self.perp.T @ self.c_vec
+        with limit_blas_threads(1):
+            return self.perp.T @ self.c_vec
 
     @cached_property
     def row_segments(self) -> List[np.ndarray]:

@@ -285,7 +285,9 @@ def test_a8_consensus_worker_speedup():
 
     def run(workers: int):
         # A fresh BlockSdp per solve, built outside the timer, so that no
-        # solve inherits another's cached reduction or warm state.
+        # solve inherits another's warm state. The reduction lives on the
+        # shared `prob`: the first solve builds it (one small QR; consensus
+        # never reads the complement basis) and the others reuse it.
         bs = restrict_dual(prob, ensembles)
         cfg = SolverConfig(workers=workers, admm_tolerance=0.0, admm_max_iterations=250)
         t0 = time.perf_counter()

@@ -15,8 +15,20 @@ from sdpsketch import experiments
 from sdpsketch._blas import _find_controls
 from sdpsketch.cli import main as cli_main
 from sdpsketch.experiments import ExperimentConfig, run_density, run_rank_sweep
-from sdpsketch.instances import infeasible_sdp, random_feasible_sdp, unbounded_sdp
-from sdpsketch.sketch import BlockSdp, load_problem, restrict_dual, sample_ensemble
+from sdpsketch.instances import (
+    default_pop_problem,
+    infeasible_sdp,
+    random_feasible_sdp,
+    unbounded_sdp,
+)
+from sdpsketch.sketch import (
+    BlockSdp,
+    ensembles_for_problem,
+    extend_ensembles,
+    load_problem,
+    restrict_dual,
+    sample_ensemble,
+)
 from sdpsketch.solver import SolverConfig, _conic_from_restricted, solve
 
 
@@ -521,6 +533,19 @@ class TestCliSolve:
         assert "tolerance" in msg
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "density"])
+    def test_empty_seeds_are_reported(self, tmp_path, command):
+        # a sweep once wrote only its full row; density ended in an IndexError
+        msg = self.one_line_error([command, "--kind", "poc", "--seeds", "",
+                                   "--out", str(tmp_path / "s")])
+        assert "seeds" in msg
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "poc", "seeds": []}))
+        msg = self.one_line_error([command, "--config", str(cfg_path),
+                                   "--out", str(tmp_path / "s")])
+        assert "seeds" in msg
+        assert not (tmp_path / "s").exists()
+
     def test_sweep_with_a_negative_seed_is_reported(self, tmp_path):
         msg = self.one_line_error(["sweep", "--kind", "poc", "--seeds", "-1",
                                    "--out", str(tmp_path / "s")])
@@ -582,6 +607,30 @@ class TestCliSolve:
         trace = tmp_path / "trace.csv"
         cli_main(["solve", str(path), "--trace", str(trace)])
         assert trace.read_text().startswith("iteration,")
+
+
+class TestBlasThreads:
+    def test_solution_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The default POP pair (reduced form) and a nested cell of its sweep
+        # (ranks 3, 11, 25; N = 20; seed 0), each solved at one and at two
+        # OpenBLAS threads; only the wall time may differ.
+        pop = default_pop_problem()
+        chain = ensembles_for_problem(pop, 3, 20, 0)
+        for r in (11, 25):
+            chain = extend_ensembles(chain, r)
+        for name, problem in [("pair", pop), ("cell", restrict_dual(pop, chain))]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(problem.to_json())
+            docs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}_{threads}.json"
+                subprocess.run([sys.executable, "-m", "sdpsketch.cli", "solve", str(path),
+                                "--out", str(out)], check=True, capture_output=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+                doc = json.loads(out.read_text())
+                assert doc.pop("status") == "Optimal" and doc.pop("solve_seconds") > 0
+                docs.append(doc)
+            assert docs[0] == docs[1], name
 
 
 class TestCliTopLevel:

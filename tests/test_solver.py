@@ -12,9 +12,15 @@ from sdpsketch.instances import (
     random_feasible_sdp,
     unbounded_sdp,
 )
-from sdpsketch.ipm import OPTIMAL, solve_conic
+from sdpsketch.ipm import (
+    DUAL_INFEASIBLE,
+    MAX_ITERATIONS,
+    OPTIMAL,
+    PRIMAL_INFEASIBLE,
+    solve_conic,
+)
 from sdpsketch.polynomial import monomial_basis, parse_polynomial
-from sdpsketch.sketch import ensembles_for_problem, restrict_dual
+from sdpsketch.sketch import ensembles_for_problem, extend_ensembles, restrict_dual
 from sdpsketch.solver import (
     SolverConfig,
     Solution,
@@ -267,6 +273,13 @@ class TestSchurFormulas:
                            zip(ops.ut_stacks, ops.row_segments, xs, zs)))
             assert _close(ops.schur(xs, zs), full)
 
+    def test_identity_groups_project_to_their_own_rows(self):
+        # U = I needs no shortcut: the general products give smat(R_j) exactly.
+        ops = _conic_from_restricted(_reduced_form(default_pop_problem())).ops
+        for ut, rows, n in zip(ops.ut_stacks, ops.row_segments, ops.base_dims):
+            g = SampleRows(ut, rows).g.reshape(n, len(rows), n)
+            assert np.array_equal(g, np.stack([_linalg.smat(row, n) for row in rows], axis=1))
+
     def test_the_choice_of_formula_is_pinned(self, rng, monkeypatch):
         pop, poc = default_pop_problem(), compile_poc(default_poc_problem())
         per_sample = {
@@ -364,12 +377,62 @@ class TestComplementBasis:
         assert _reduced_form(prob) is None
         assert "reduction" in prob.__dict__ and "perp" not in prob.reduction.__dict__
 
+    @pytest.mark.parametrize("kind", ["pair", "nested cell"])
+    def test_touching_the_reduction_first_changes_no_bit(self, kind):
+        def solved(touch):
+            pop = default_pop_problem()
+            if touch:  # outside any solve, so at the caller's BLAS thread count
+                pop.reduction.perp, pop.reduction.rhs
+            if kind == "pair":
+                return solve(pop)
+            return solve(restrict_dual(pop, _nested_pop_chain(pop, 25)))
+
+        touched, fresh = solved(True).to_json_dict(), solved(False).to_json_dict()
+        del touched["solve_seconds"], fresh["solve_seconds"]
+        assert touched == fresh
+
     def test_basis_is_the_same_after_a_file_round_trip(self):
         prob = default_pop_problem()
         back = SdpProblem.from_json(prob.to_json())
         assert back is not prob and "reduction" not in back.__dict__
         assert np.array_equal(back.a_svec, prob.a_svec)
         assert np.array_equal(back.reduction.perp, prob.reduction.perp)
+
+
+def _nested_pop_chain(pop: SdpProblem, rank: int):
+    """The ensembles of `rank` in a nested sweep over ranks 3, 11, 25 (N = 20, seed 0)."""
+    chain = ensembles_for_problem(pop, 3, 20, 0)
+    for r in (11, 25):
+        if r <= rank:
+            chain = extend_ensembles(chain, r)
+    return chain
+
+
+class TestSymmetricResults:
+    def test_every_returned_group_is_exactly_symmetric(self, rng, monkeypatch):
+        # The solver reads the IPM's X, Z and certificate groups as they are,
+        # without symmetrizing them: they are exactly symmetric by construction.
+        results = []
+        real = solver.solve_conic
+        monkeypatch.setattr(solver, "solve_conic",
+                            lambda *args: results.append(real(*args)) or results[-1])
+        poc, pop = compile_poc(default_poc_problem()), default_pop_problem()
+        problems = [poc, pop]
+        problems += [restrict_dual(poc, ensembles_for_problem(poc, r, 100, seed))
+                     for r in (1, 2, 3) for seed in (0, 1)]
+        problems += [restrict_dual(pop, _nested_pop_chain(pop, r)) for r in (3, 11, 25)]
+        problems += [make(rng, 5, 4) for make in (random_feasible_sdp, infeasible_sdp,
+                                                 unbounded_sdp) for _ in range(2)]
+        for prob in problems:
+            solve(prob)
+        # the corpus reaches the best-iterate rollback and both certificates
+        assert {OPTIMAL, MAX_ITERATIONS, PRIMAL_INFEASIBLE, DUAL_INFEASIBLE} <= {
+            res.status for res in results}
+        for res in results:
+            cert = res.certificate or {}
+            for group in [*res.x_blocks, *res.z_blocks,
+                          *cert.get("x_blocks", ()), *cert.get("z_blocks", ())]:
+                assert np.array_equal(group, group.swapaxes(-1, -2))
 
 
 class TestFactorReuse:
