@@ -11,6 +11,9 @@ from functools import lru_cache
 from typing import MutableMapping, Optional
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, qr, solve_triangular
+
+from ._blas import limit_blas_threads
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -190,15 +193,58 @@ def tril_inv(lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def nullspace(mat: np.ndarray, rcond: float = 1e-11) -> np.ndarray:
-    """Orthonormal basis (columns) of the right null space of mat."""
-    if mat.size == 0:
-        rows, cols = mat.shape
-        return np.eye(cols)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    tol = rcond * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].T.copy()
+RANK_RCOND = 1e-11  # a pivot counts toward the rank above this times the first
+
+
+class PivotedQR:
+    """mat P = Q R for a (rows, cols) matrix, from one column-pivoted
+    Householder QR in LAPACK's raw form: Q is kept as its min(rows, cols)
+    reflectors and never formed, and P is the column order `piv`.  The rank
+    is the number of |R_kk| above RANK_RCOND times |R_11|.
+
+    The QR and every product with Q run at one BLAS thread, so their bits do
+    not depend on the caller's thread count.
+    """
+
+    def __init__(self, mat: np.ndarray):
+        with limit_blas_threads(1):
+            (reflectors, tau), self.r, self.piv = qr(mat, mode="raw", pivoting=True)
+        # A wide matrix's raw array has more columns than Q has reflectors.
+        k = min(mat.shape)
+        self._reflectors, self._tau = reflectors[:, :k], tau[:k]
+        diag = np.abs(np.diag(self.r))
+        self.rank = int(np.sum(diag > (diag[0] if diag.size else 1.0) * RANK_RCOND))
+
+    def _apply_q(self, c: np.ndarray) -> np.ndarray:
+        """Q c for a Fortran-ordered (rows, k) array c, which is overwritten."""
+        if not self._tau.size:
+            return c
+        ormqr, = get_lapack_funcs(("ormqr",), (self._reflectors,))
+        with limit_blas_threads(1):
+            _, work, _ = ormqr("L", "N", self._reflectors, self._tau, c, -1)
+            q, _, info = ormqr("L", "N", self._reflectors, self._tau, c, int(work[0]),
+                               overwrite_c=1)
+        if info:
+            raise np.linalg.LinAlgError(f"ormqr failed with info {info}")
+        return q
+
+    def complement(self) -> np.ndarray:
+        """Orthonormal basis of the complement of the matrix's range (the
+        null space of its transpose): the trailing rows - rank columns of Q,
+        the reflectors applied to those of the identity."""
+        rows = self._reflectors.shape[0]
+        return self._apply_q(np.eye(rows, rows - self.rank, -self.rank, order="F"))
+
+    def min_norm_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The minimum-norm x with mat' x = rhs on the rank leading pivots:
+        mat'[piv] = R' Q', so x = Q [R_k^-T rhs[piv[:k]]; 0] for the leading
+        k x k triangle R_k, orthogonal to complement().  The other equations
+        hold only as far as mat' x = rhs is consistent."""
+        k = self.rank
+        z = np.zeros((self._reflectors.shape[0], 1), order="F")
+        with limit_blas_threads(1):
+            z[:k, 0] = solve_triangular(self.r[:k, :k], rhs[self.piv[:k]], trans="T")
+        return self._apply_q(z)[:, 0]
 
 
 def aggregate_congruence_operator(p_stack: np.ndarray, q_stack: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ An ensemble is one read-only (N, r, n) stack of the U_i', generated and
 extended stacked, with one random stream per sample for each extension.
 
 A BlockSdp document either embeds its base problem ("base") or names a
-base file next to it ("base_ref", checked against "base_sha256"); many
+base file next to it ("base_ref", a plain file name in the document's own
+folder, checked against "base_sha256"); many
 restrictions of one base then share one file.  The base's constraint
 matrix is stored packed (see sos), so a base file of the default POP sweep
 decodes in milliseconds, to the bits it was written from.  load_problem
@@ -86,14 +87,33 @@ class SubspaceEnsemble:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SubspaceEnsemble":
-        lineage = [int(x) for x in data.get("lineage", [data["r"]])]
-        ens = sample_ensemble(
-            int(data["n"]), lineage[0], int(data["N"]), int(data["seed"]),
-            orthonormal=bool(data["orthonormal"]),
-        )
+        """The ensemble of a recipe: n, r, N and seed JSON integers,
+        orthonormal a JSON boolean, and lineage (default [r]) a non-empty
+        list of increasing integers that ends at r."""
+        n, r, big_n, seed = (_json_int(data[key], key) for key in ("n", "r", "N", "seed"))
+        orthonormal = data["orthonormal"]
+        if not isinstance(orthonormal, bool):
+            raise ValueError(f"ensemble field orthonormal must be true or false, "
+                             f"got {orthonormal!r}")
+        lineage = data.get("lineage", [r])
+        if not (isinstance(lineage, list) and lineage and all(map(_is_int, lineage))
+                and all(a < b for a, b in zip(lineage, lineage[1:])) and lineage[-1] == r):
+            raise ValueError(f"ensemble lineage must be a non-empty list of increasing "
+                             f"integers that ends at r = {r}, got {lineage!r}")
+        ens = sample_ensemble(n, lineage[0], big_n, seed, orthonormal=orthonormal)
         for r_new in lineage[1:]:
             ens = extend_ensemble(ens, r_new)
         return ens
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int(value, name: str) -> int:
+    if not _is_int(value):
+        raise ValueError(f"ensemble field {name} must be an integer, got {value!r}")
+    return value
 
 
 def _orth_columns(mat: np.ndarray) -> np.ndarray:
@@ -245,6 +265,9 @@ def _referenced_base(ref: str, sha256: str, directory: Optional[Path]) -> SdpPro
         raise ValueError(
             f"the block_sdp document names its base problem {ref!r} relative to its own "
             "file; read it with load_problem(path) so that the reference can be resolved")
+    if not (isinstance(ref, str) and ref not in ("", ".", "..") and Path(ref).name == ref):
+        raise ValueError(f"base_ref must be a plain file name in the document's own "
+                         f"folder, got {ref!r}")
     path = Path(directory) / ref
     raw = path.read_bytes()
     if hashlib.sha256(raw).hexdigest() != sha256:

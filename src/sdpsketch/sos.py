@@ -34,10 +34,10 @@ from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, qr, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from ._blas import limit_blas_threads
-from ._linalg import SQRT2, nullspace, smat, svec, svec_dim, svec_weights, sym, triu_indices
+from ._linalg import SQRT2, PivotedQR, smat, svec, svec_dim, svec_weights, sym, triu_indices
 from .polynomial import (
     Basis,
     DegreeOverflowError,
@@ -108,7 +108,9 @@ class SdpProblem:
                                  for c, d in zip(cost_blocks, self.block_dims))
         self.offsets = np.cumsum([0] + [svec_dim(d) for d in self.block_dims])
         if constraints is None:
-            a_svec = np.array(a_svec, dtype=float)  # a copy of its own, made read-only below
+            # A copy of its own, made read-only below, in C order: a JSON round
+            # trip gives C order, and the two orders solve to different bits.
+            a_svec = np.array(a_svec, dtype=float, order="C")
         else:
             constraints = list(constraints)
             a_svec = np.zeros((int(self.offsets[-1]), len(constraints)))
@@ -249,28 +251,22 @@ class RestrictedReduction:
     dual of one base problem: rows perp' svec(S) = perp' svec(C), cost
     w_obj = A (A'A)^-1 b, and y recovered from S by the Gram solve.
 
-    One column-pivoted QR of A, A P = Q R, serves all of it.  Q is kept as
-    LAPACK's Householder reflectors, never formed.  The rank is the number of
-    |R_kk| above 1e-11 times the first pivot.  At full rank A'A = P R'R P',
-    so the Gram solve is two triangular solves with R; a rank-deficient A
-    solves its Gram system by a ridge Cholesky, or a pseudo-inverse if that
-    fails.
+    One column-pivoted QR of A, A P = Q R (_linalg.PivotedQR), serves all of
+    it: perp is its complement basis, and the rank is its rank.  At full rank
+    A'A = P R'R P', so the Gram solve is two triangular solves with R; a
+    rank-deficient A solves its Gram system by a ridge Cholesky, or a
+    pseudo-inverse if that fails.
     """
 
     def __init__(self, base: SdpProblem):
         a_mat = base.a_svec
         c_vec = base.pack(base.cost_blocks)
-        m = base.num_constraints
-        self.rank = 0
-        self.solve_gram = lambda rhs: rhs
-        if m:
-            (self._reflectors, self._tau), r, piv = qr(a_mat, mode="raw", pivoting=True)
-            diag = np.abs(np.diag(r))
-            self.rank = int(np.sum(diag > (diag[0] if diag.size else 1.0) * 1e-11))
-            if self.rank == m:
-                self.solve_gram = partial(_pivoted_gram_solve, r, piv)  # r is m x m
-            else:
-                self.solve_gram = _ridge_gram_solve(a_mat)
+        self._qr = PivotedQR(a_mat)
+        self.rank = self._qr.rank
+        if self.rank == base.num_constraints:
+            self.solve_gram = partial(_pivoted_gram_solve, self._qr.r, self._qr.piv)
+        else:
+            self.solve_gram = _ridge_gram_solve(a_mat)
         w_obj = a_mat @ self.solve_gram(base.rhs)
 
         self.base = base
@@ -284,21 +280,8 @@ class RestrictedReduction:
     @cached_property
     def perp(self) -> np.ndarray:
         """Orthonormal basis of the complement of span{svec(A_j)}: the trailing
-        dim - rank columns of Q, the reflectors applied to those of I."""
-        dim, m = self.a_mat.shape
-        if not m:
-            return np.eye(dim)
-        # Q holds min(dim, m) reflectors; a wide A's raw array has more columns.
-        k = min(dim, m)
-        reflectors, tau = self._reflectors[:, :k], self._tau[:k]
-        tail = np.eye(dim, dim - self.rank, -self.rank, order="F")
-        ormqr, = get_lapack_funcs(("ormqr",), (reflectors,))
-        with limit_blas_threads(1):
-            _, work, _ = ormqr("L", "N", reflectors, tau, tail, -1)
-            q, _, info = ormqr("L", "N", reflectors, tau, tail, int(work[0]), overwrite_c=1)
-        if info:
-            raise np.linalg.LinAlgError(f"ormqr failed with info {info}")
-        return q
+        dim - rank columns of Q."""
+        return self._qr.complement()
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -483,7 +466,14 @@ def _matching_columns(blocks: List[GramBlockSpec], target: Polynomial,
     """The coefficient-matching system of matching_program in svec
     coordinates: (block sizes, the particular solution c of the target, the
     constraint columns [lambda particular solution, kernel basis], their
-    right-hand sides)."""
+    right-hand sides).
+
+    One pivoted QR of the transposed matching map, R' P = Q T
+    (_linalg.PivotedQR), gives all of it: the orthonormal kernel basis of R
+    is the trailing columns of Q, from the reflectors, and each particular
+    solution is the minimum-norm one, orthogonal to the kernel, from one
+    triangular solve with T.
+    """
     support: Dict[Monomial, int] = {}
 
     def note(mono):
@@ -531,8 +521,10 @@ def _matching_columns(blocks: List[GramBlockSpec], target: Polynomial,
     for mono, coeff in target.terms.items():
         tvec[support[mono]] = coeff
 
+    factored = PivotedQR(R.T)
+
     def particular(rhs: np.ndarray, what: str) -> np.ndarray:
-        sol, *_ = np.linalg.lstsq(R, rhs, rcond=None)
+        sol = factored.min_norm_solve(rhs)
         resid = R @ sol - rhs
         bad = np.abs(resid) > 1e-9 * (1.0 + np.abs(rhs).max(initial=0.0))
         if bad.any():
@@ -544,7 +536,7 @@ def _matching_columns(blocks: List[GramBlockSpec], target: Polynomial,
         return sol
 
     c_vec = particular(tvec, "target polynomial")
-    kernel = nullspace(R)
+    kernel = factored.complement()
 
     lam_vec = None
     if lower_bound_poly is not None:

@@ -1,4 +1,5 @@
 import base64
+import csv
 import hashlib
 import json
 import os
@@ -481,6 +482,40 @@ class TestCliSolve:
         run_rank_sweep(poc_config(tmp_path / "s", ranks=(2,), seeds=(0,), samples=5))
         return tmp_path / "s" / "problems" / "rank002_seed0.json"
 
+    @pytest.mark.parametrize("field, value", [
+        ("orthonormal", None), ("orthonormal", 1), ("N", 1.5), ("seed", 1.5), ("r", "x"),
+        ("n", True), ("lineage", []), ("lineage", [2, 2]), ("lineage", [1]),
+        ("lineage", [1.0, 2]), ("lineage", "2"),
+    ])
+    def test_malformed_ensemble_recipe_is_reported(self, tmp_path, field, value):
+        # each was once coerced or ignored: null solved a raw-Gaussian
+        # problem, 1.5 was truncated, and r was never read
+        cell = self.sweep_cell(tmp_path)
+        doc = json.loads(cell.read_text())
+        assert doc["ensembles"][0]["lineage"] == [2]
+        doc["ensembles"][0][field] = value
+        cell.write_text(json.dumps(doc))
+        msg = self.one_line_error(["solve", str(cell)])
+        what = "ensemble lineage" if field == "lineage" else f"ensemble field {field}"
+        assert str(cell) in msg and f"{what} must be" in msg
+
+    @pytest.mark.parametrize("ref", ["../../../../etc/hostname", "/etc/hostname",
+                                     "sub/base.json", "..", ""])
+    def test_base_ref_outside_the_cell_folder_is_refused(self, tmp_path, ref):
+        cell = self.sweep_cell(tmp_path)
+        doc = json.loads(cell.read_text())
+        doc["base_ref"] = ref
+        cell.write_text(json.dumps(doc))
+        msg = self.one_line_error(["solve", str(cell)])
+        assert "base_ref must be a plain file name" in msg
+
+    def test_valid_cell_reads_back_to_its_own_bytes(self, tmp_path):
+        cell = self.sweep_cell(tmp_path)
+        doc = json.loads(cell.read_text())
+        back = load_problem(cell).to_json_dict(base_ref=doc["base_ref"],
+                                                base_sha256=doc["base_sha256"])
+        assert json.dumps(back) == cell.read_text()
+
     def test_missing_base_is_reported(self, tmp_path):
         cell = self.sweep_cell(tmp_path)
         (cell.parent / "base.json").unlink()
@@ -631,6 +666,34 @@ class TestBlasThreads:
                 assert doc.pop("status") == "Optimal" and doc.pop("solve_seconds") > 0
                 docs.append(doc)
             assert docs[0] == docs[1], name
+
+    def test_compiled_problems_do_not_depend_on_the_blas_thread_count(self):
+        script = ("import sys\n"
+                  "from sdpsketch.control import compile_poc\n"
+                  "from sdpsketch.instances import default_poc_problem, default_pop_problem\n"
+                  "sys.stdout.write(default_pop_problem().to_json())\n"
+                  "sys.stdout.write(compile_poc(default_poc_problem()).to_json())\n")
+        docs = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert docs[0] and docs[0] == docs[1]
+
+    def test_base_file_re_solves_to_the_full_row(self, tmp_path):
+        # The sweep's base.json, solved at two threads by the CLI, gives the
+        # objective of the sweep's full row exactly.
+        cfg = ExperimentConfig.from_json_dict(dict(kind="pop", ranks=[3], samples=5, seeds=[0],
+                                                   out_dir=str(tmp_path / "s")))
+        run_rank_sweep(cfg)
+        with open(tmp_path / "s" / "sweep.csv") as fh:
+            full = next(row for row in csv.DictReader(fh) if row["rank"] == "full")
+        out = tmp_path / "base_solution.json"
+        subprocess.run([sys.executable, "-m", "sdpsketch.cli", "solve",
+                        str(tmp_path / "s" / "problems" / "base.json"), "--out", str(out)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+        sol = json.loads(out.read_text())
+        assert sol["status"] == full["status_counts"].split(":")[0] == "Optimal"
+        assert sol["objective"] == float(full["objective_median"])
 
 
 class TestCliTopLevel:

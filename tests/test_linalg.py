@@ -1,6 +1,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 from numpy.linalg import cholesky, inv
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,9 @@ from sdpsketch._linalg import (
     LANCZOS_STEPS,
     STEP_MARGIN,
     TRIANGULAR_BASE,
+    PivotedQR,
     aggregate_congruence_operator,
     max_step_psd,
-    nullspace,
     smat,
     svec,
     sym,
@@ -156,10 +157,87 @@ def test_sym_on_a_stack_matches_each_matrix():
 def test_nullspace_is_orthonormal_kernel():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 9))
-    ns = nullspace(a)
+    ns = PivotedQR(a.T).complement()
     assert ns.shape == (9, 5)
     assert np.allclose(a @ ns, 0.0, atol=1e-10)
     assert np.allclose(ns.T @ ns, np.eye(5), atol=1e-12)
+
+
+def _compiled_matching_map(monkeypatch, kind):
+    """(R, the PivotedQR of R', the problem) of the default POP or POC
+    compile, R being the matching map the compiler factored."""
+    from sdpsketch import sos
+    from sdpsketch.control import compile_poc
+    from sdpsketch.instances import default_poc_problem, default_pop_problem
+
+    seen = []
+
+    class Recording(PivotedQR):
+        def __init__(self, mat):
+            super().__init__(mat)
+            seen.append((mat.T, self))
+
+    monkeypatch.setattr(sos, "PivotedQR", Recording)
+    prob = default_pop_problem() if kind == "pop" else compile_poc(default_poc_problem())
+    (matching, factored), = seen
+    return matching, factored, prob
+
+
+@pytest.mark.parametrize("kind", ["pop", "poc"])
+def test_compiled_kernel_is_orthonormal_and_annihilated(monkeypatch, kind):
+    matching, factored, prob = _compiled_matching_map(monkeypatch, kind)
+    kernel = factored.complement()
+    total = matching.shape[1]
+    assert kernel.shape == (total, total - factored.rank)
+    assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[1])).max() <= 1e-12
+    assert np.abs(matching @ kernel).max() <= 1e-12
+    # the compiled constraints are the kernel, after POP's lower-bound column
+    kernel_cols = prob.a_svec[:, 1:] if kind == "pop" else prob.a_svec
+    assert kernel_cols.shape == kernel.shape
+    assert np.abs(kernel_cols - kernel).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["pop", "poc"])
+def test_compiled_particular_solutions_have_minimum_norm(monkeypatch, kind):
+    matching, factored, prob = _compiled_matching_map(monkeypatch, kind)
+    kernel = factored.complement()
+    rng = np.random.default_rng(11)
+    rhs = matching @ rng.standard_normal(matching.shape[1])  # in R's range
+    x = factored.min_norm_solve(rhs)
+    assert np.abs(matching @ x - rhs).max() <= 1e-10 * np.abs(rhs).max()
+    assert np.abs(kernel.T @ x).max() <= 1e-12 * np.linalg.norm(x)
+    want = np.linalg.pinv(matching) @ rhs
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    # the compile's own particular solutions: the cost, and POP's lambda column
+    solutions = [prob.pack(prob.cost_blocks)] + ([prob.a_svec[:, 0]] if kind == "pop" else [])
+    for sol in solutions:
+        assert np.abs(kernel.T @ sol).max() <= 1e-12 * max(1.0, np.linalg.norm(sol))
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9)])
+def test_pivoted_qr_of_tall_and_wide_matrices(shape):
+    rng = np.random.default_rng(6)
+    rows, cols = shape
+    rank = min(shape) - 1  # rank-deficient either way
+    a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    factored = PivotedQR(a)
+    assert factored.rank == rank
+    perp = factored.complement()
+    assert perp.shape == (rows, rows - rank)
+    assert np.abs(perp.T @ perp - np.eye(rows - rank)).max() <= 1e-12
+    assert np.abs(a.T @ perp).max() <= 1e-12
+    rhs = a.T @ rng.standard_normal(rows)  # consistent: a' x = rhs has solutions
+    x = factored.min_norm_solve(rhs)
+    assert np.abs(a.T @ x - rhs).max() <= 1e-10 * np.abs(rhs).max()
+    want = np.linalg.pinv(a.T) @ rhs
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_matching_map_with_no_rows_has_the_identity_kernel():
+    factored = PivotedQR(np.zeros((0, 5)).T)
+    assert factored.rank == 0
+    assert np.array_equal(factored.complement(), np.eye(5))
+    assert np.array_equal(factored.min_norm_solve(np.zeros(0)), np.zeros(5))
 
 
 def test_aggregate_congruence_matches_brute_force():

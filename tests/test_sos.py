@@ -208,6 +208,23 @@ class TestSerialization:
             assert np.array_equal(back.a_svec, prob.a_svec)
             assert np.array_equal(back.rhs, prob.rhs)
 
+    def test_fortran_and_c_ordered_a_svec_solve_to_the_same_bits(self):
+        # A JSON round trip always gives C order, and the two orders once
+        # solved the default POP to different objectives and iteration counts.
+        from sdpsketch.instances import default_pop_problem
+
+        pop = default_pop_problem()
+        docs = []
+        for a_svec in (np.ascontiguousarray(pop.a_svec), np.asfortranarray(pop.a_svec)):
+            prob = SdpProblem(block_dims=pop.block_dims, cost_blocks=pop.cost_blocks,
+                              a_svec=a_svec, rhs=pop.rhs, sense=pop.sense,
+                              obj_offset=pop.obj_offset, moment_meta=pop.moment_meta)
+            assert prob.a_svec.flags.c_contiguous
+            doc = solve(prob).to_json_dict()
+            del doc["solve_seconds"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_json_round_trip_is_bit_exact_for_hand_built_problems(self, rng):
         # Off-diagonal entries that are not dyadic and a negative zero, built
         # from matrices; and a packed matrix whose entries are not svec images
