@@ -1,11 +1,11 @@
 """Limit the BLAS thread count for a section of code, using only ctypes.
 
 numpy and scipy each ship their own OpenBLAS, and each starts a thread pool
-of its own.  `limit_blas_threads(k)` lowers every loaded OpenBLAS to at most
-k threads for the duration of a `with` block and then restores the previous
+of its own.  `limit_blas_threads()` holds every loaded OpenBLAS at one
+thread for the duration of a `with` block and then restores the previous
 counts.  The setting is process-wide.  Nested and concurrent blocks are
-tracked together: while any block is open, the count is the smallest limit
-among the open blocks, and the saved counts come back when the last closes.
+counted together: while any block is open, the count is one, and the saved
+counts come back when the last closes.
 
 Libraries are found in the process's own memory map (Linux).  Where that map
 or the OpenBLAS entry points are missing the context manager does nothing.
@@ -23,7 +23,7 @@ _PREFIXES = ("openblas", "scipy_openblas")
 _SUFFIXES = ("", "64_", "_64")
 
 _lock = threading.Lock()
-_limits: List[int] = []  # the limits of the blocks now open
+_depth = 0  # the number of blocks now open
 _saved: List[int] = []  # the counts to restore, one per library
 _controls: Optional[List[Tuple[object, object]]] = None
 
@@ -61,9 +61,8 @@ def _find_controls() -> List[Tuple[object, object]]:
 
 
 def _apply() -> None:
-    cap = min(_limits) if _limits else None
     for (setter, getter), count in zip(_controls, _saved):
-        target = count if cap is None else max(1, min(count, cap))
+        target = 1 if _depth else count
         # Only on a change: after a fork, OpenBLAS restarts its thread pool
         # on the next call, and the new threads spin for a while.
         if getter() != target:
@@ -71,20 +70,18 @@ def _apply() -> None:
 
 
 @contextmanager
-def limit_blas_threads(limit: int):
-    global _controls
+def limit_blas_threads():
+    global _controls, _depth
     with _lock:
         if _controls is None:
             _controls = _find_controls()
-        if not _limits:
+        if not _depth:
             _saved[:] = [getter() for _, getter in _controls]
-        _limits.append(int(limit))
+        _depth += 1
         _apply()
     try:
         yield
     finally:
         with _lock:
-            _limits.remove(int(limit))
+            _depth -= 1
             _apply()
-            if not _limits:
-                _saved.clear()

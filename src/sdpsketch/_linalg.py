@@ -194,6 +194,7 @@ def tril_inv(lower: np.ndarray) -> np.ndarray:
 
 
 RANK_RCOND = 1e-11  # a pivot counts toward the rank above this times the first
+RANGE_TOL = 1e-9  # rhs is in range if no residual exceeds this times 1 + max |rhs|
 
 
 class PivotedQR:
@@ -202,12 +203,15 @@ class PivotedQR:
     reflectors and never formed, and P is the column order `piv`.  The rank
     is the number of |R_kk| above RANK_RCOND times |R_11|.
 
+    One rank rule serves every solve: R = [[R_k, R_12], [0, 0]] past the rank
+    k, and each solve, exact at full column rank, is the basic one below it.
+
     The QR and every product with Q run at one BLAS thread, so their bits do
     not depend on the caller's thread count.
     """
 
     def __init__(self, mat: np.ndarray):
-        with limit_blas_threads(1):
+        with limit_blas_threads():
             (reflectors, tau), self.r, self.piv = qr(mat, mode="raw", pivoting=True)
         # A wide matrix's raw array has more columns than Q has reflectors.
         k = min(mat.shape)
@@ -220,7 +224,7 @@ class PivotedQR:
         if not self._tau.size:
             return c
         ormqr, = get_lapack_funcs(("ormqr",), (self._reflectors,))
-        with limit_blas_threads(1):
+        with limit_blas_threads():
             _, work, _ = ormqr("L", "N", self._reflectors, self._tau, c, -1)
             q, _, info = ormqr("L", "N", self._reflectors, self._tau, c, int(work[0]),
                                overwrite_c=1)
@@ -236,15 +240,41 @@ class PivotedQR:
         return self._apply_q(np.eye(rows, rows - self.rank, -self.rank, order="F"))
 
     def min_norm_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The minimum-norm x with mat' x = rhs on the rank leading pivots:
-        mat'[piv] = R' Q', so x = Q [R_k^-T rhs[piv[:k]]; 0] for the leading
-        k x k triangle R_k, orthogonal to complement().  The other equations
-        hold only as far as mat' x = rhs is consistent."""
+        """The minimum-norm x with mat'x = rhs on the leading pivots,
+        x = Q [R_k^-T rhs[piv[:k]]; 0], orthogonal to complement(); the other
+        equations hold as far as rhs is in range (see ray)."""
         k = self.rank
         z = np.zeros((self._reflectors.shape[0], 1), order="F")
-        with limit_blas_threads(1):
+        with limit_blas_threads():
             z[:k, 0] = solve_triangular(self.r[:k, :k], rhs[self.piv[:k]], trans="T")
         return self._apply_q(z)[:, 0]
+
+    def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
+        """The basic solution of mat'mat z = rhs (a vector or a (cols, j) array),
+        z[piv[:k]] = R_k^-1 R_k^-T rhs[piv[:k]] and zero elsewhere (Golub & Van
+        Loan, 5.5): mat z projects onto mat's range any v with mat'v = rhs."""
+        k, piv = self.rank, self.piv
+        r_k = self.r[:k, :k]
+        z = np.zeros((piv.size,) + rhs.shape[1:])
+        z[piv[:k]] = solve_triangular(r_k, solve_triangular(r_k, rhs[piv[:k]], trans="T"))
+        return z
+
+    def ray(self, rhs: np.ndarray) -> Optional[np.ndarray]:
+        """None if rhs lies in the range of mat', else a d with mat d = 0 and
+        rhs'd > 0.  The equations past the rank leave the residual
+        e = rhs[piv[k:]] - R_12' R_k^-T rhs[piv[:k]], and rhs is in range when
+        no |e_i| exceeds RANGE_TOL (1 + max |rhs|), the compiler's rule; then
+        d[piv[k:]] = e, d[piv[:k]] = -R_k^-1 R_12 e has R P'd = 0, rhs'd = |e|^2."""
+        k, piv = self.rank, self.piv
+        if k == piv.size:  # full column rank: no such equation
+            return None
+        r_k, r_12 = self.r[:k, :k], self.r[:k, k:]
+        e = rhs[piv[k:]] - r_12.T @ solve_triangular(r_k, rhs[piv[:k]], trans="T")
+        if not (np.abs(e) > RANGE_TOL * (1.0 + np.abs(rhs).max(initial=0.0))).any():
+            return None
+        d = np.zeros(piv.size)
+        d[piv[k:]], d[piv[:k]] = e, -solve_triangular(r_k, r_12 @ e)
+        return d
 
 
 def aggregate_congruence_operator(p_stack: np.ndarray, q_stack: np.ndarray) -> np.ndarray:

@@ -139,7 +139,7 @@ class Team:
                 _pin(cpu)
                 rank = len(self.helpers)
                 seen = 0.0
-                with limit_blas_threads(1):
+                with limit_blas_threads():
                     while True:
                         seen = self._next_command(seen, rank, cmd_r)
                         if seen is None or self._ctl[_CMD] == _QUIT:
@@ -225,13 +225,13 @@ class Team:
     def run(self, command: int) -> None:
         """Run every task of `command` and wait until all are done."""
         if not self._running:
-            with limit_blas_threads(1):
+            with limit_blas_threads():
                 for task in self.tasks(command):
                     task()
             return
         self._post(command)
         try:
-            with limit_blas_threads(1):
+            with limit_blas_threads():
                 self._serve(command)
         except BaseException:
             # The caller's own failure is the one to report; a helper's

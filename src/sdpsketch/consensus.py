@@ -13,10 +13,11 @@ The least-squares step solves the same saddle system every iteration,
 with H = sum_i Phi_i' Phi_i block diagonal over the base blocks.  As in the
 cached KKT factorizations of OSQP and SCS it is factored once per value of
 rho: the tiled Cholesky factor L of each diagonal block, its inverse, and the
-m x m Schur complement (L^-1 A)' (L^-1 A).  Each iteration is then two
-triangular matrix-vector products and an m x m solve.  A factorization that
-breaks down (H singular and rho large) ends the solve with NumericalFailure
-and the last iterates.
+Schur complement (L^-1 A)' (L^-1 A), nonsingular as A holds only independent
+constraint columns (all at full rank; b is in range, so the rest follow).
+Each iteration is then two triangular matrix-vector products and one Schur
+solve.  A factorization that breaks down (H singular and rho large) ends
+the solve with NumericalFailure and the last iterates.
 
 Workers.  `workers` is the number of CPUs the solve uses, capped at the CPUs
 this process may run on.  All parallel work (Hessian row bands, factor
@@ -312,7 +313,7 @@ def solve_consensus(problem: BlockSdp, config) -> Solution:
     t_start = time.perf_counter()
     red = problem.base.reduction
     ws = _Workspace([_Group(ens) for ens in problem.ensembles], problem.base.offsets,
-                    red.a_mat, config.workers)
+                    red.a_mat[:, red.independent], config.workers)
     try:
         return _solve(problem, config, red, ws, t_start)
     finally:
@@ -328,7 +329,7 @@ def _solve(problem: BlockSdp, config, red, ws: _Workspace, t_start: float) -> So
     max_iter = int(config.admm_max_iterations)
     delta = 1e-8
     c_vec = red.c_vec
-    b = base.rhs
+    b = base.rhs[red.independent]
 
     status = Status.MaxIterations
     if not ws.factor(rho, delta):

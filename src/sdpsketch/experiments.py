@@ -41,6 +41,7 @@ from .measures import MomentRecoveryError, density_grid, extract_moments
 from .polynomial import Polynomial, monomial_basis
 from .sketch import (
     BlockSdp,
+    _is_int,
     ensembles_for_problem,
     extend_ensembles,
     load_problem,
@@ -71,6 +72,18 @@ class ExperimentConfig:
     grid_halfwidth: float = 2.0
 
     def __post_init__(self):
+        for name in ("ranks", "seeds"):
+            values = getattr(self, name)
+            if not (isinstance(values, (list, tuple)) and all(map(_is_int, values))):
+                raise ValueError(f"{name} must be a list of integers, got {values!r}")
+            setattr(self, name, tuple(values))
+        for name in ("samples", "jobs", "basis_degree", "multiplier_degree", "density_degree",
+                     "grid_points"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("nested", "orthonormal"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not self.ranks or min(self.ranks) < 1:
             raise ValueError(f"ranks must be at least 1, got {list(self.ranks)}")
         for name in ("samples", "jobs"):
@@ -101,8 +114,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown experiment config key {k!r}")
             if v is not None or k in ("ball_radius", "problem_path"):
                 merged[k] = v
-        merged["ranks"] = tuple(int(r) for r in merged["ranks"])
-        merged["seeds"] = tuple(int(s) for s in merged["seeds"])
         return ExperimentConfig(**merged)
 
 

@@ -52,14 +52,6 @@ class Basis:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def eval_vector(self, point: Sequence[float]) -> np.ndarray:
-        pt = np.asarray(point, dtype=float)
-        if pt.shape != (self.num_vars,):
-            raise DimensionMismatchError(
-                f"point has {pt.shape} entries, basis expects {self.num_vars}"
-            )
-        return np.array([float(np.prod(pt**np.array(m))) for m in self.elements])
-
 
 def monomial_basis(num_vars: int, max_degree: int) -> Basis:
     """Graded-lex ordered basis of all monomials with degree <= max_degree."""
@@ -120,9 +112,6 @@ class Polynomial:
 
     def coefficient(self, mono: Monomial) -> float:
         return self.terms.get(tuple(mono), 0.0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __call__(self, point: Sequence[float]) -> float:
         return evaluate(self, point)

@@ -218,13 +218,6 @@ class BlockSdp:
     def sense(self) -> str:
         return "max" if self.kind == "restricted_dual" else "min"
 
-    @property
-    def block_sizes(self) -> List[int]:
-        out = []
-        for ens in self.ensembles:
-            out.extend([ens.r] * ens.N)
-        return out
-
     def to_json_dict(self, base_ref: Optional[str] = None,
                      base_sha256: Optional[str] = None) -> dict:
         """The self-contained document, or with base_ref the reference form:

@@ -20,12 +20,12 @@ or {"x_blocks": X} with A(X) = 0 and <C, X> < 0 (Z, X PSD); a BlockSdp's
 restricted dual's ray, per sample, with w in complement-basis coordinates.
 
 The pair is solved in whichever form has fewer Schur rows (Lofberg 2009,
-"Dualize it").  With m constraints on blocks of total svec dimension d, the
-pair form has m rows; the reduced form, the pair's restricted dual over one
-identity ensemble per block (N = 1, U = I), which eliminates y, has d - m.
-So a pair with 2m > d is solved reduced, unless A has rank below m: then b
-may lie outside A's range, and the elimination would solve a least-squares
-problem, so the pair form solves it.
+"Dualize it"): with m constraints of rank k on blocks of total svec
+dimension d, m in the pair form, d - k in the reduced form, the pair's
+restricted dual over identity ensembles (N = 1, U = I), which eliminates y.
+A pair with 2m <= d keeps the pair form without factoring A.  A solve that
+reads the elimination of a base whose b lies outside the range of A' returns
+the pair's ray (sos.RestrictedReduction) at 0 iterations, in either solver.
 
 The projected primal is the conic dual of the restricted dual, so it is
 solved, in either mode, as that restricted dual, whose Solution it reports
@@ -91,7 +91,7 @@ def check_mode(mode) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    if not (isinstance(value, Real) and 0 < value < math.inf):
+    if not (isinstance(value, Real) and not isinstance(value, bool) and 0 < value < math.inf):
         raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
 
 
@@ -219,15 +219,10 @@ def _conic_from_restricted(bs: BlockSdp) -> ConicProgram:
 
 
 def _reduced_form(problem: SdpProblem) -> Optional[BlockSdp]:
-    """The pair as its restricted dual over identity ensembles (N = 1, U = I),
-    when that has fewer Schur rows, sum svec(n_b) - m, than the pair's m, and
-    its elimination of y is exact; otherwise None.
-
-    A rank-deficient A is left to the pair form: with b outside its range the
-    elimination would solve a least-squares problem instead.
-    """
+    """The pair as its restricted dual over identity ensembles (N = 1, U = I) if
+    that has fewer Schur rows, sum svec(n_b) - rank(A), than the pair's m."""
     dim, m = problem.a_svec.shape
-    if 2 * m <= dim or problem.reduction.rank < m:
+    if 2 * m <= dim or dim - problem.reduction.rank >= m:
         return None
     # Built in place, never serialized: a recipe would regenerate a random U.
     return restrict_dual(problem, [
@@ -290,6 +285,20 @@ def _certified(status: Status, problem, res: ConicResult, solved_sense: str) -> 
     return Solution(status=status, objective=worst, certificate=cert)
 
 
+def _ray_solution(problem, config: SolverConfig) -> Optional[Solution]:
+    """The pair's ray {"w": d, "z_blocks": zero blocks} at 0 iterations, read
+    into the problem's sense, if solving `problem` reads the elimination of
+    a base that has one (see the module docstring); otherwise None."""
+    t0 = time.perf_counter()
+    base = problem.base if isinstance(problem, BlockSdp) else problem
+    reads = base is not problem or (isinstance(problem, SdpProblem) and _reduced_form(problem))
+    if not reads or base.reduction.ray is None:  # the pair form eliminates nothing
+        return None
+    cert = {"w": base.reduction.ray, "z_blocks": [np.zeros((n, n)) for n in base.block_dims]}
+    status = _read_status(Status.Infeasible, problem.sense, "min")
+    return _finish(Solution(status, np.inf, certificate=cert), problem, config, 0, [], t0)
+
+
 def _finish(sol: Solution, problem, config: SolverConfig, iterations: int, trace: list,
             t0: float) -> Solution:
     """KKT replay, iteration count, timing and trace of every solve."""
@@ -329,16 +338,16 @@ def solve_consensus(problem: BlockSdp, config: SolverConfig | None = None) -> So
 
 
 def _solve_with(impl, problem, config: SolverConfig) -> Solution:
-    """impl(problem, config) at one BLAS thread (see the module docstring),
-    with the projected primal solved as its conic dual.  One thread is also
-    faster: an iteration is many small matrix calls, and the default POP
-    pair took 1.1 s at two threads and 0.5 s at one on a 2-core host."""
-    with limit_blas_threads(1):
-        if isinstance(problem, BlockSdp) and problem.kind == "projected_primal":
-            sol = impl(restrict_dual(problem.base, problem.ensembles), config)
-            sol.status = _read_status(sol.status, problem.sense, "max")
-            return sol
-        return impl(problem, config)
+    """impl(problem, config), or the pair's ray, at one BLAS thread (see the
+    module docstring), with the projected primal solved as its conic dual.
+    One thread is also faster: an iteration is many small matrix calls, and
+    the default POP pair took 1.1 s at two threads and 0.5 s at one on a 2-core host."""
+    with limit_blas_threads():
+        projected = isinstance(problem, BlockSdp) and problem.kind == "projected_primal"
+        solved = restrict_dual(problem.base, problem.ensembles) if projected else problem
+        sol = _ray_solution(solved, config) or impl(solved, config)
+        sol.status = _read_status(sol.status, problem.sense, solved.sense)
+        return sol
 
 
 def _solve_ipm(problem: Union[SdpProblem, BlockSdp], config: SolverConfig) -> Solution:

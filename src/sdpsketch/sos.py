@@ -30,14 +30,14 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from ._blas import limit_blas_threads
-from ._linalg import SQRT2, PivotedQR, smat, svec, svec_dim, svec_weights, sym, triu_indices
+from ._linalg import (RANGE_TOL, SQRT2, PivotedQR, smat, svec, svec_dim, svec_weights, sym,
+                      triu_indices)
 from .polynomial import (
     Basis,
     DegreeOverflowError,
@@ -139,7 +139,7 @@ class SdpProblem:
         """The elimination data of every restricted dual of this problem, built
         on first use, at one BLAS thread like its lazy parts, so its bits do
         not depend on where it is first touched; shared by all of them."""
-        with limit_blas_threads(1):
+        with limit_blas_threads():
             return RestrictedReduction(self)
 
     def __getstate__(self):
@@ -249,31 +249,22 @@ class SdpProblem:
 class RestrictedReduction:
     """Elimination of y from S = C - sum_j y_j A_j, shared by every restricted
     dual of one base problem: rows perp' svec(S) = perp' svec(C), cost
-    w_obj = A (A'A)^-1 b, and y recovered from S by the Gram solve.
+    w_obj = A z with A'A z = b, and y recovered from S by the Gram solve.
 
     One column-pivoted QR of A, A P = Q R (_linalg.PivotedQR), serves all of
-    it: perp is its complement basis, and the rank is its rank.  At full rank
-    A'A = P R'R P', so the Gram solve is two triangular solves with R; a
-    rank-deficient A solves its Gram system by a ridge Cholesky, or a
-    pseudo-inverse if that fails.
-    """
+    it at any rank, by its one rank rule: perp is its complement basis, the
+    Gram solve its basic solution, and `ray`, if b is not in the range of A',
+    a d with A d = 0 and b'd > 0: the min side of the pair and of every
+    restriction is infeasible.  A full-rank A has no ray."""
 
     def __init__(self, base: SdpProblem):
-        a_mat = base.a_svec
-        c_vec = base.pack(base.cost_blocks)
-        self._qr = PivotedQR(a_mat)
-        self.rank = self._qr.rank
-        if self.rank == base.num_constraints:
-            self.solve_gram = partial(_pivoted_gram_solve, self._qr.r, self._qr.piv)
-        else:
-            self.solve_gram = _ridge_gram_solve(a_mat)
-        w_obj = a_mat @ self.solve_gram(base.rhs)
-
-        self.base = base
-        self.a_mat = a_mat
-        self.w_obj = w_obj
-        self.c_vec = c_vec
-        self.const = float(w_obj @ c_vec) + base.obj_offset
+        self.base, self.a_mat, self.c_vec = base, base.a_svec, base.pack(base.cost_blocks)
+        self._qr = PivotedQR(self.a_mat)
+        self.rank, self.solve_gram = self._qr.rank, self._qr.solve_gram
+        self.ray = self._qr.ray(base.rhs)
+        self.independent = np.sort(self._qr.piv[:self.rank])  # A's independent columns
+        self.w_obj = self.a_mat @ self.solve_gram(base.rhs)
+        self.const = float(self.w_obj @ self.c_vec) + base.obj_offset
 
     # Only the interior-point layout reads the complement basis, so the
     # consensus solver never applies the reflectors.
@@ -285,7 +276,7 @@ class RestrictedReduction:
 
     @cached_property
     def rhs(self) -> np.ndarray:
-        with limit_blas_threads(1):
+        with limit_blas_threads():
             return self.perp.T @ self.c_vec
 
     @cached_property
@@ -298,27 +289,6 @@ class RestrictedReduction:
 
     def moment_matrices(self, w: np.ndarray) -> List[np.ndarray]:
         return self.base.unpack(self.w_obj - self.perp @ w)
-
-
-def _pivoted_gram_solve(r: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(A'A)^-1 rhs from A P = Q R with R square: A'A = P R'R P'."""
-    z = solve_triangular(r, solve_triangular(r, rhs[piv], trans="T"))
-    out = np.empty_like(z)
-    out[piv] = z
-    return out
-
-
-def _ridge_gram_solve(a_mat: np.ndarray):
-    """A solver of A'A x = rhs for a rank-deficient A: a Cholesky of A'A with
-    a ridge of 1e-14 tr/m, or a pseudo-inverse if that fails."""
-    gram = a_mat.T @ a_mat
-    m = gram.shape[0]
-    try:
-        cho = cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
-        return lambda rhs: cho_solve(cho, rhs)
-    except np.linalg.LinAlgError:
-        pinv = np.linalg.pinv(gram)
-        return lambda rhs: pinv @ rhs
 
 
 def _symmetric(mat, dim: int, what: str) -> np.ndarray:
@@ -526,7 +496,7 @@ def _matching_columns(blocks: List[GramBlockSpec], target: Polynomial,
     def particular(rhs: np.ndarray, what: str) -> np.ndarray:
         sol = factored.min_norm_solve(rhs)
         resid = R @ sol - rhs
-        bad = np.abs(resid) > 1e-9 * (1.0 + np.abs(rhs).max(initial=0.0))
+        bad = np.abs(resid) > RANGE_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
         if bad.any():
             worst = row_monos[int(np.argmax(np.abs(resid)))]
             raise DegreeOverflowError(

@@ -1,8 +1,16 @@
+from pathlib import Path
+
 import pytest
 
 from sdpsketch.control import compile_poc
 from sdpsketch.instances import default_poc_problem, random_feasible_sdp
-from sdpsketch.sketch import ensembles_for_problem, project_primal, restrict_dual, sample_ensemble
+from sdpsketch.sketch import (
+    ensembles_for_problem,
+    load_problem,
+    project_primal,
+    restrict_dual,
+    sample_ensemble,
+)
 from sdpsketch.solver import SolverConfig, Status, kkt_residuals, solve, solve_consensus
 
 
@@ -75,6 +83,18 @@ class TestAgreement:
         prob = random_feasible_sdp(rng, 4, 2)
         with pytest.raises(TypeError):
             solve_consensus(prob, SolverConfig())
+
+
+class TestRankDeficientBase:
+    def test_agrees_with_interior_point_on_a_duplicated_constraint(self):
+        # The saddle system keeps A's independent columns; all of them would
+        # make its Schur complement singular.
+        base = load_problem(Path(__file__).parent / "data" / "rank_deficient.json")
+        assert base.reduction.rank == base.num_constraints - 1
+        bs = restrict_dual(base, ensembles_for_problem(base, 4, 3, 0))
+        ip, cs = solve(bs), solve_consensus(bs, SolverConfig(workers=1))
+        assert ip.status == cs.status == Status.Optimal
+        assert abs(cs.objective - ip.objective) <= 1e-4 * (1.0 + abs(ip.objective))
 
 
 class TestFixedPoint:

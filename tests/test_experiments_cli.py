@@ -33,6 +33,9 @@ from sdpsketch.sketch import (
 from sdpsketch.solver import SolverConfig, _conic_from_restricted, solve
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def _cpus():
     return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
 
@@ -630,6 +633,20 @@ class TestCliSolve:
         assert "'IPM'" in msg
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", [1.5]), ("ranks", [3.7]), ("ranks", [True]), ("nested", "no"),
+        ("tolerance", True), ("ball_radius", True), ("samples", "5"),
+    ])
+    def test_config_value_of_the_wrong_json_type_is_reported(self, tmp_path, field, value):
+        # each once ran (seed 1, rank 3 or 1, a nested sweep, tolerance or
+        # radius 1) or ended in an error that named no field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "poc", field: value}))
+        msg = self.one_line_error(["sweep", "--config", str(cfg_path),
+                                   "--out", str(tmp_path / "s")])
+        assert msg.startswith(f"error: {field} ")
+        assert not (tmp_path / "s").exists()
+
     def test_consensus_mode_rejects_sdp_problem(self, tmp_path, rng):
         path = self.write(tmp_path, random_feasible_sdp(rng, 4, 2))
         with pytest.raises(SystemExit) as err:
@@ -694,6 +711,43 @@ class TestBlasThreads:
         sol = json.loads(out.read_text())
         assert sol["status"] == full["status_counts"].split(":")[0] == "Optimal"
         assert sol["objective"] == float(full["objective_median"])
+
+
+class TestRankDeficientFixtures:
+    """The two committed bases whose last constraint repeats the first: b in
+    the range of A' (rank_deficient.json) or raised out of it by 1
+    (rank_deficient_inconsistent.json)."""
+
+    @staticmethod
+    def sweep(tmp_path, name) -> Path:
+        out = tmp_path / name
+        assert cli_main(["sweep", "--kind", "raw-sdp", "--problem", str(DATA / f"{name}.json"),
+                         "--ranks", "2,4", "--samples", "3", "--seeds", "0",
+                         "--out", str(out)]) == 0
+        return out
+
+    def test_consistent_base_solves_in_both_modes(self, tmp_path):
+        out = self.sweep(tmp_path, "rank_deficient")
+        full = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert full[-1] == "Optimal:1"
+        want = 5.888413380498713  # the pair form's value, before the one row rule
+        assert abs(float(full[2]) - want) <= 1e-7 * (1 + want)
+        cell = str(out / "problems" / "rank004_seed0.json")
+        assert cli_main(["solve", cell, "--mode", "consensus", "--out", str(tmp_path / "c")]) == 0
+
+    def test_inconsistent_base_gives_certified_statuses(self, tmp_path):
+        out = self.sweep(tmp_path, "rank_deficient_inconsistent")
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[1:] == ["full,10,inf,inf,inf,Infeasible:1", "2,3,inf,inf,inf,Unbounded:1",
+                             "4,10,inf,inf,inf,Unbounded:1"]
+        cell = out / "problems" / "rank004_seed0.json"
+        assert cli_main(["solve", str(cell), "--mode", "consensus", "--out",
+                         str(tmp_path / "c")]) == 3
+        projected = json.loads(cell.read_text())
+        projected["kind"] = "projected_primal"
+        path = out / "problems" / "projected.json"  # beside the base it names
+        path.write_text(json.dumps(projected))
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "p")]) == 2
 
 
 class TestCliTopLevel:

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from sdpsketch.control import compile_poc
 from sdpsketch import _linalg, ipm, solver
@@ -20,7 +23,7 @@ from sdpsketch.ipm import (
     solve_conic,
 )
 from sdpsketch.polynomial import monomial_basis, parse_polynomial
-from sdpsketch.sketch import ensembles_for_problem, extend_ensembles, restrict_dual
+from sdpsketch.sketch import ensembles_for_problem, extend_ensembles, project_primal, restrict_dual
 from sdpsketch.solver import (
     SolverConfig,
     Solution,
@@ -32,6 +35,8 @@ from sdpsketch.solver import (
     solve,
 )
 from sdpsketch.sos import SdpProblem, compile_pop
+
+DATA = Path(__file__).parent / "data"
 
 
 def trace_problem():
@@ -211,23 +216,35 @@ class TestPairForm:
                     rays = x
                 assert min(np.linalg.eigvalsh(sym(r))[0] for r in rays) >= -1e-8
 
-    def test_rank_deficient_constraints_stay_in_pair_form(self, rng):
+    def test_rank_deficient_consistent_pair_solves_reduced(self, rng):
+        # one row rule: the reduced form has dim - rank = 10 - 7 rows, the pair 8
         prob = random_feasible_sdp(rng, 4, 7)
-        dup = np.hstack([prob.a_svec, prob.a_svec[:, :1]])
-        consistent = SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
-                                a_svec=dup, rhs=np.append(prob.rhs, prob.rhs[0]))
-        assert _reduced_form(consistent) is None
-        want = solve(prob)
-        sol = solve(consistent)
-        assert sol.status == Status.Optimal
+        dup = _duplicated_constraint(prob)
+        assert dup.reduction.rank == 7 and dup.reduction.ray is None
+        assert _reduced_form(dup) is not None
+        want, sol = solve(prob), solve(dup)
+        assert want.status == sol.status == Status.Optimal
         assert abs(sol.objective - want.objective) <= 1e-7 * (1 + abs(want.objective))
-        # b outside A's range: the elimination's least-squares value would read Optimal
-        inconsistent = SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
-                                  a_svec=dup, rhs=np.append(prob.rhs, prob.rhs[0] + 1.0))
-        assert _reduced_form(inconsistent) is None
-        sol = solve(inconsistent)
-        assert sol.status == Status.Infeasible
-        assert sol.objective == np.inf
+        assert sol.kkt.max() <= 1e-8 * (1 + abs(sol.objective))
+
+    def test_a_small_inconsistent_pair_keeps_the_pair_form(self, rng):
+        prob = _duplicated_constraint(random_feasible_sdp(rng, 4, 4), raise_by=1.0)
+        dim, m = prob.a_svec.shape
+        assert 2 * m <= dim and _reduced_form(prob) is None
+        sol = solve(prob)
+        assert sol.status == Status.Infeasible and sol.objective == np.inf
+        assert sol.iterations > 0
+        assert "reduction" not in prob.__dict__  # the shortcut factors nothing
+
+    def test_a_wide_consistent_system_solves_on_no_rows(self, rng):
+        a_svec = rng.standard_normal((3, 5))
+        prob = SdpProblem(block_dims=(2,), cost_blocks=(2 * np.eye(2),), a_svec=a_svec,
+                          rhs=a_svec.T @ _linalg.svec(np.eye(2)))
+        assert prob.reduction.rank == 3 and prob.reduction.ray is None
+        assert _conic_from_restricted(_reduced_form(prob)).ops.num_rows == 0
+        sol = solve(prob)  # X = I is the only point with A(X) = b
+        assert sol.status == Status.Optimal
+        assert abs(sol.objective - 4.0) <= 1e-7
 
 
 def _random_pd(rng, big_n, r):
@@ -302,12 +319,66 @@ class TestSchurFormulas:
                                      if s is None), name
 
 
-def _duplicated_constraint(rng) -> SdpProblem:
-    """A feasible pair on one 4 x 4 block whose last constraint repeats its first."""
-    prob = random_feasible_sdp(rng, 4, 7)
+def _duplicated_constraint(prob: SdpProblem, raise_by: float = 0.0) -> SdpProblem:
+    """prob with its first constraint repeated last, the copy's right-hand
+    side raised by `raise_by`: A loses rank, and b leaves the range of A'
+    unless raise_by is 0."""
     return SdpProblem(block_dims=prob.block_dims, cost_blocks=prob.cost_blocks,
                       a_svec=np.hstack([prob.a_svec, prob.a_svec[:, :1]]),
-                      rhs=np.append(prob.rhs, prob.rhs[0]))
+                      rhs=np.append(prob.rhs, prob.rhs[0] + raise_by), sense=prob.sense)
+
+
+def _rank_deficient_base(raise_by: float) -> SdpProblem:
+    """The base of tests/data/rank_deficient.json (raise_by 0) and of
+    rank_deficient_inconsistent.json (raise_by 1)."""
+    return _duplicated_constraint(random_feasible_sdp(np.random.default_rng(0), 4, 7), raise_by)
+
+
+@pytest.mark.parametrize("name, raise_by", [("rank_deficient.json", 0.0),
+                                            ("rank_deficient_inconsistent.json", 1.0)])
+def test_fixture_files_are_their_recipes_bytes(name, raise_by):
+    assert (DATA / name).read_bytes() == _rank_deficient_base(raise_by).to_json().encode()
+
+
+class TestRay:
+    """A base whose b lies outside the range of A' has a ray d, A d = 0 and
+    b'd > 0.  Every solve that reads its elimination returns it at once, as
+    the pair's certificate, Infeasible on a min side and Unbounded on a max side."""
+
+    @staticmethod
+    def assert_ray(base: SdpProblem, sol: Solution, status: Status):
+        assert sol.status == status and sol.objective == np.inf and sol.iterations == 0
+        assert sorted(sol.certificate) == ["w", "z_blocks"]
+        d, z = sol.certificate["w"], sol.certificate["z_blocks"]
+        assert np.linalg.norm(base.a_svec @ d) <= 1e-12 * np.linalg.norm(d)
+        assert base.rhs @ d > 0
+        assert [zb.shape for zb in z] == [(n, n) for n in base.block_dims]
+        assert not any(zb.any() for zb in z)
+
+    @pytest.mark.parametrize("mode", ["interior_point", "consensus"])
+    def test_every_solve_of_the_elimination_returns_the_ray(self, mode):
+        base = _rank_deficient_base(1.0)
+        assert base.reduction.rank == 7 and base.reduction.ray is not None
+        ens = ensembles_for_problem(base, 4, 3, 0)
+        cfg = SolverConfig(mode=mode)
+        self.assert_ray(base, solve(restrict_dual(base, ens), cfg), Status.Unbounded)
+        self.assert_ray(base, solve(project_primal(base, ens), cfg), Status.Infeasible)
+        if mode != "consensus":  # consensus solves no pair
+            for sense, status in (("min", Status.Infeasible), ("max", Status.Unbounded)):
+                pair = _with_sense(base, sense)
+                assert _reduced_form(pair) is not None
+                self.assert_ray(pair, solve(pair), status)
+
+    def test_a_zero_constraint_matrix_has_the_ray_b(self):
+        base = SdpProblem(block_dims=(2,), cost_blocks=(np.eye(2),), a_svec=np.zeros((3, 2)),
+                          rhs=[1.0, -2.0])
+        assert base.reduction.rank == 0 and np.array_equal(base.reduction.ray, base.rhs)
+        self.assert_ray(base, solve(restrict_dual(base, ensembles_for_problem(base, 1, 2, 0))),
+                        Status.Unbounded)
+
+    def test_a_full_rank_base_has_no_ray(self):
+        red = default_pop_problem().reduction
+        assert red.ray is None and np.array_equal(red.independent, np.arange(547))
 
 
 class TestComplementBasis:
@@ -323,7 +394,7 @@ class TestComplementBasis:
         assert np.abs(perp @ perp.T - oracle @ oracle.T).max() <= 1e-10
 
     def test_duplicated_constraint_counts_once(self, rng):
-        dup = _duplicated_constraint(rng)
+        dup = _duplicated_constraint(random_feasible_sdp(rng, 4, 7))
         dim, m = dup.a_svec.shape
         perp = dup.reduction.perp
         assert perp.shape == (dim, dim - m + 1)
@@ -347,35 +418,23 @@ class TestComplementBasis:
         v = a_svec @ rng.standard_normal(8)  # in A's range
         assert np.abs(a_svec @ red.solve_gram(a_svec.T @ v) - v).max() <= 1e-6 * np.abs(v).max()
 
-    def test_full_rank_gram_solve_from_r(self, rng, monkeypatch):
-        from sdpsketch import sos
-
-        monkeypatch.setattr(sos, "_ridge_gram_solve", lambda a: pytest.fail("A'A formed"))
+    def test_full_rank_gram_solve_is_two_triangular_solves(self, rng):
         red = default_pop_problem().reduction
         assert red.rank == red.a_mat.shape[1] == 547
-        rhs = rng.standard_normal((547, 2))
-        want = np.linalg.solve(red.a_mat.T @ red.a_mat, rhs)
-        assert np.abs(red.solve_gram(rhs) - want).max() <= 1e-10 * np.abs(want).max()
-        assert np.abs(red.solve_gram(rhs[:, 0]) - want[:, 0]).max() <= 1e-10 * np.abs(want).max()
+        r, piv = red._qr.r, red._qr.piv
+        for rhs in (rng.standard_normal(547), rng.standard_normal((547, 2))):
+            want = np.empty_like(rhs)
+            want[piv] = solve_triangular(r, solve_triangular(r, rhs[piv], trans="T"))
+            assert np.array_equal(red.solve_gram(rhs), want)
 
-    def test_rank_deficient_a_keeps_the_gram_rule(self, rng):
-        from scipy.linalg import cho_factor, cho_solve
-
-        prob = _duplicated_constraint(rng)
-        a_mat = prob.a_svec
-        m = a_mat.shape[1]
-        assert prob.reduction.rank == m - 1
-        gram = a_mat.T @ a_mat
-        rhs = rng.standard_normal(m)
-        cho = cho_factor(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
-        assert np.array_equal(prob.reduction.solve_gram(rhs), cho_solve(cho, rhs))
-
-    def test_rank_deficient_pair_form_builds_no_complement(self, rng):
-        prob = _duplicated_constraint(rng)
-        dim, m = prob.a_svec.shape
-        assert 2 * m > dim  # so the rank, not the size, keeps the pair form
-        assert _reduced_form(prob) is None
-        assert "reduction" in prob.__dict__ and "perp" not in prob.reduction.__dict__
+    def test_rank_deficient_gram_solve_projects_onto_the_range(self, rng):
+        prob = _duplicated_constraint(random_feasible_sdp(rng, 4, 7))
+        red = prob.reduction
+        assert red.rank == prob.num_constraints - 1
+        v = rng.standard_normal(prob.a_svec.shape[0])
+        projection = v - red.perp @ (red.perp.T @ v)
+        got = prob.a_svec @ red.solve_gram(prob.a_svec.T @ v)
+        assert np.abs(got - projection).max() <= 1e-12 * np.abs(v).max()
 
     @pytest.mark.parametrize("kind", ["pair", "nested cell"])
     def test_touching_the_reduction_first_changes_no_bit(self, kind):
