@@ -219,14 +219,16 @@ class PivotedQR:
         diag = np.abs(np.diag(self.r))
         self.rank = int(np.sum(diag > (diag[0] if diag.size else 1.0) * RANK_RCOND))
 
-    def _apply_q(self, c: np.ndarray) -> np.ndarray:
-        """Q c for a Fortran-ordered (rows, k) array c, which is overwritten."""
+    def apply_q(self, c: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Q c, or Q'c with `transpose`, for a Fortran-ordered (rows, j) array c,
+        which is overwritten."""
         if not self._tau.size:
             return c
         ormqr, = get_lapack_funcs(("ormqr",), (self._reflectors,))
+        trans = "T" if transpose else "N"
         with limit_blas_threads():
-            _, work, _ = ormqr("L", "N", self._reflectors, self._tau, c, -1)
-            q, _, info = ormqr("L", "N", self._reflectors, self._tau, c, int(work[0]),
+            _, work, _ = ormqr("L", trans, self._reflectors, self._tau, c, -1)
+            q, _, info = ormqr("L", trans, self._reflectors, self._tau, c, int(work[0]),
                                overwrite_c=1)
         if info:
             raise np.linalg.LinAlgError(f"ormqr failed with info {info}")
@@ -237,17 +239,26 @@ class PivotedQR:
         null space of its transpose): the trailing rows - rank columns of Q,
         the reflectors applied to those of the identity."""
         rows = self._reflectors.shape[0]
-        return self._apply_q(np.eye(rows, rows - self.rank, -self.rank, order="F"))
+        return self.apply_q(np.eye(rows, rows - self.rank, -self.rank, order="F"))
+
+    def leading(self, rhs: np.ndarray) -> np.ndarray:
+        """R_k^-T rhs[piv[:k]]: min_norm_solve(rhs) in Q's leading k columns."""
+        k = self.rank
+        with limit_blas_threads():
+            return solve_triangular(self.r[:k, :k], rhs[self.piv[:k]], trans="T")
 
     def min_norm_solve(self, rhs: np.ndarray) -> np.ndarray:
         """The minimum-norm x with mat'x = rhs on the leading pivots,
-        x = Q [R_k^-T rhs[piv[:k]]; 0], orthogonal to complement(); the other
+        x = Q [leading(rhs); 0], orthogonal to complement(); the other
         equations hold as far as rhs is in range (see ray)."""
-        k = self.rank
         z = np.zeros((self._reflectors.shape[0], 1), order="F")
-        with limit_blas_threads():
-            z[:k, 0] = solve_triangular(self.r[:k, :k], rhs[self.piv[:k]], trans="T")
-        return self._apply_q(z)[:, 0]
+        z[:self.rank, 0] = self.leading(rhs)
+        return self.apply_q(z)[:, 0]
+
+    @property
+    def independent(self) -> np.ndarray:
+        """The leading rank pivots in column order: independent columns of mat."""
+        return np.sort(self.piv[:self.rank])
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """The basic solution of mat'mat z = rhs (a vector or a (cols, j) array),

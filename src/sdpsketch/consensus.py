@@ -313,7 +313,7 @@ def solve_consensus(problem: BlockSdp, config) -> Solution:
     t_start = time.perf_counter()
     red = problem.base.reduction
     ws = _Workspace([_Group(ens) for ens in problem.ensembles], problem.base.offsets,
-                    red.a_mat[:, red.independent], config.workers)
+                    problem.base.a_svec[:, red.independent], config.workers)
     try:
         return _solve(problem, config, red, ws, t_start)
     finally:

@@ -4,10 +4,10 @@ A sweep cell is one (rank, seed) restricted solve.  The sweep table CSV is
 byte-deterministic for identical configs and seeds: the wall-time column
 lives in a separate timing CSV, and every cell's problem is serialized next
 to the table so each row can be re-derived with the solve command.  The base
-problem is written once, as problems/base.json, its constraint matrix packed
-(3.7 MB for the default POP); each cell file holds only its ensemble recipes
-and a reference to that file, "base_ref": "base.json" (resolved relative to
-the cell file), with the sha256 of its bytes.
+problem is written once, as problems/base.json (54 KB for the default POP,
+whose sparse matching system it stores); each cell file holds only its
+ensemble recipes and a reference to that file, "base_ref": "base.json"
+(resolved relative to the cell file), with the sha256 of its bytes.
 
 The cells of an IPM sweep are the tasks of one `_team.Team` of up to `jobs`
 processes.  Every solve, and the reduction its cells share, runs at one BLAS
@@ -39,21 +39,16 @@ from .instances import (
 )
 from .measures import MomentRecoveryError, density_grid, extract_moments
 from .polynomial import Polynomial, monomial_basis
-from .sketch import (
-    BlockSdp,
-    _is_int,
-    ensembles_for_problem,
-    extend_ensembles,
-    load_problem,
-    restrict_dual,
-)
+from .sketch import BlockSdp, ensembles_for_problem, extend_ensembles, load_problem, restrict_dual
 from .solver import SolverConfig, Solution, Status, check_mode, check_positive, solve
-from .sos import SdpProblem, compile_pop
+from .sos import SdpProblem, _is_int, compile_pop
+
+KINDS = ("pop", "poc", "raw-sdp")
 
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "pop"  # pop | poc | raw-sdp
+    kind: str = "pop"  # see KINDS
     ranks: Tuple[int, ...] = POP_SWEEP_RANKS
     samples: int = DEFAULT_SAMPLES
     seeds: Tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -72,6 +67,14 @@ class ExperimentConfig:
     grid_halfwidth: float = 2.0
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {', '.join(map(repr, KINDS))}, "
+                             f"got {self.kind!r}")
+        if not (self.problem_path is None or isinstance(self.problem_path, str)):
+            raise ValueError(f"problem_path must be a file name or null, "
+                             f"got {self.problem_path!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a directory name, got {self.out_dir!r}")
         for name in ("ranks", "seeds"):
             values = getattr(self, name)
             if not (isinstance(values, (list, tuple)) and all(map(_is_int, values))):
@@ -94,6 +97,7 @@ class ExperimentConfig:
                              f"got {list(self.seeds)}")
         check_mode(self.mode)
         check_positive("tolerance", self.tolerance)
+        check_positive("grid_halfwidth", self.grid_halfwidth)
         if self.ball_radius is not None:  # None drops the ball
             check_positive("ball_radius", self.ball_radius)
 

@@ -54,6 +54,10 @@ DUAL_INFEASIBLE = "dual_infeasible"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
 
+# The columns of a trace row, in order.
+TRACE_FIELDS = ("iteration", "mu", "primal", "dual", "gap", "step", "tau", "kappa",
+                "backtracks", "lu_tries", "step_fallbacks")
+
 STEP_FRACTION = 0.98  # of the distance to the cone boundary
 INFEASIBILITY_TOL = 1e-9  # relative residual of an infeasibility certificate
 TAU_KAPPA_RATIO = 1e-2  # tau below this times kappa lets a certificate be declared
@@ -143,10 +147,9 @@ def solve_conic(prog: ConicProgram, tolerance: float = 1e-8, max_iterations: int
         ax, adjw, r1, r2b, cx, by, pres, dres, gap, pobj, dobj = evaluate()
         mu = (sum(float(np.vdot(x, z)) for x, z in zip(X, Z)) + tau * kappa) / nu
         if trace:
-            trace_rows.append(dict(iteration=it, mu=mu, primal=pres, dual=dres,
-                                   gap=gap, step=last_alpha, tau=tau, kappa=kappa,
-                                   backtracks=work["backtracks"], lu_tries=work["lu_tries"],
-                                   step_fallbacks=work["step_fallbacks"]))
+            trace_rows.append(dict(zip(TRACE_FIELDS, (
+                it, mu, pres, dres, gap, last_alpha, tau, kappa,
+                work["backtracks"], work["lu_tries"], work["step_fallbacks"]))))
             work.clear()
         score = max(pres, dres, gap)
         if score < best_score:

@@ -12,9 +12,10 @@ extended stacked, with one random stream per sample for each extension.
 A BlockSdp document either embeds its base problem ("base") or names a
 base file next to it ("base_ref", a plain file name in the document's own
 folder, checked against "base_sha256"); many
-restrictions of one base then share one file.  The base's constraint
-matrix is stored packed (see sos), so a base file of the default POP sweep
-decodes in milliseconds, to the bits it was written from.  load_problem
+restrictions of one base then share one file.  A compiled base stores its
+sparse matching system and any other base its packed constraint matrix
+(see sos), so a base file decodes to the bits it was written from, and the
+default POP sweep's in a few milliseconds.  load_problem
 reads either kind of problem file and resolves a reference relative to the
 file.
 """
@@ -30,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._linalg import lift_congruence, sym
-from .sos import SdpProblem
+from .sos import SdpProblem, _is_int
 
 _EXTEND_STREAM = 9650218  # namespace tag for nested-extension RNG streams
 
@@ -104,10 +105,6 @@ class SubspaceEnsemble:
         for r_new in lineage[1:]:
             ens = extend_ensemble(ens, r_new)
         return ens
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _json_int(value, name: str) -> int:

@@ -34,10 +34,13 @@ not certified Infeasible or Unbounded, for both solvers.  Block groups are
 (N, r, r) arrays inside the IPM (see conic) and are unstacked once, so a
 Solution's block lists hold one matrix per sample or block.
 
-Every layout reads the base problem's one svec constraint matrix a_svec:
-the pair form as DenseRows row segments, each restricted dual through the
-problem's elimination data (SdpProblem.reduction, shared with the consensus
-solver), and the KKT replay through dual_slack and constraint_values.
+Every layout reads the base problem's one equality system.  Each
+restricted dual, and the reduced form, reads the problem's elimination data
+(SdpProblem.reduction, shared with the consensus solver), and the KKT replay
+applies A and A' (dual_slack, constraint_values).  For a compiled program
+both run through the QR of its matching system, whose constraint matrix is
+never formed; only the pair form's DenseRows row segments and the consensus
+saddle system read the svec matrix a_svec, which such a problem forms once.
 
 A solve holds BLAS at one thread from its layout build to its KKT replay,
 and the reduction builds itself at one thread wherever it is first touched,
@@ -67,6 +70,7 @@ from .ipm import (
     NUMERICAL_FAILURE,
     OPTIMAL,
     PRIMAL_INFEASIBLE,
+    TRACE_FIELDS,
     ConicResult,
     solve_conic,
 )
@@ -221,7 +225,7 @@ def _conic_from_restricted(bs: BlockSdp) -> ConicProgram:
 def _reduced_form(problem: SdpProblem) -> Optional[BlockSdp]:
     """The pair as its restricted dual over identity ensembles (N = 1, U = I) if
     that has fewer Schur rows, sum svec(n_b) - rank(A), than the pair's m."""
-    dim, m = problem.a_svec.shape
+    dim, m = int(problem.offsets[-1]), problem.num_constraints
     if 2 * m <= dim or dim - problem.reduction.rank >= m:
         return None
     # Built in place, never serialized: a recipe would regenerate a random U.
@@ -277,7 +281,7 @@ def _certified(status: Status, problem, res: ConicResult, solved_sense: str) -> 
         if "x_blocks" in cert:
             # perp' svec(S) = 0 puts S in A's range: S = -sum_j y_j A_j.
             s_mats = cert["x_blocks"]
-            y = -problem.reduction.solve_gram(problem.a_svec.T @ problem.pack(s_mats))
+            y = -problem.reduction.solve_gram(problem.apply_at(problem.pack(s_mats)))
             cert = {"w": y, "z_blocks": s_mats}
         else:
             # Z = -smat(perp w) has A(Z) = 0 and <C, Z> = -g'w < 0.
@@ -307,9 +311,10 @@ def _finish(sol: Solution, problem, config: SolverConfig, iterations: int, trace
     sol.iterations = iterations
     sol.solve_seconds = time.perf_counter() - t0
     sol.trace = trace if config.keep_trace or config.trace_path else []
-    if config.trace_path and trace:
+    if config.trace_path:
+        # A solve that took no step writes the interior-point header alone.
         with open(config.trace_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(trace[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=list(trace[0]) if trace else TRACE_FIELDS)
             writer.writeheader()
             writer.writerows(trace)
     return sol

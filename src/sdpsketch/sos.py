@@ -12,13 +12,23 @@ coefficient-matching map (plus one matrix per free scalar such as the lower
 bound).  Restricting S to sums of projected blocks then restricts the SOS
 cone, and the multipliers of the matrix equation form the moment matrix.
 
-An SdpProblem stores its equality system once, as the svec matrix a_svec
-with one column per constraint.  The interior-point layouts, the consensus
-solver and the KKT replay all read that matrix, and the JSON document holds
-it packed: a_svec and rhs as little-endian float64 bytes in base64, beside
-their shapes, so a problem file decodes to the same bits it was written
-from.  The older coordinate form, one {"rhs", "blocks"} entry per
-constraint, is still read.
+An SdpProblem stores its equality system in one of two forms.
+  - A compiled program (matching_program: POP and POC) stores its
+    coefficient-matching system, a MatchingSystem: the sparse map R, the
+    lower-bound polynomial's coefficients if it has one, and the one
+    pivoted QR of R' its compile took.  The constraint columns are never
+    formed.  The restricted reduction, the Gram solve and the KKT replay
+    apply A and A' through the QR's reflectors; only the readers that need
+    A's entries (the pair form's rows, the consensus saddle system and
+    `constraints`) form the svec matrix a_svec, once, on first use.
+  - Any other problem stores a_svec, with one column per constraint.
+The JSON document holds the matching system as coordinates of R's nonzeros
+("matching"), or a_svec packed, as little-endian float64 bytes in base64
+beside its shape; rhs is packed either way, so a problem file decodes to
+the bits it was written from.  The older coordinate form, one {"rhs",
+"blocks"} entry per constraint, is still read.  The reader is strict: an
+unknown key, a missing one or a value of the wrong JSON type or shape is
+refused with a ValueError naming the field.
 
 A problem owns the elimination data of its restricted duals
 (SdpProblem.reduction), built on first use at one BLAS thread, shared by
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -86,10 +97,11 @@ class MomentMeta:
 class SdpProblem:
     """Canonical SDP pair data; see module docstring for both readings.
 
-    The constraints are given either as (matrices, rhs) pairs, one symmetric
-    matrix per block, or already packed as `a_svec` and `rhs`; they are
-    stored once, packed: column j of `a_svec` is svec(A_j) with the blocks
-    stacked, block b in rows offsets[b]:offsets[b + 1].  Problems are not
+    The constraints are given as (matrices, rhs) pairs, one symmetric matrix
+    per block, packed as `a_svec` and `rhs`, or as a compiled program's
+    `matching` system and `rhs`.  Column j of `a_svec` is svec(A_j) with the
+    blocks stacked, block b in rows offsets[b]:offsets[b + 1]; a problem
+    with a matching system forms it only when it is read.  Problems are not
     changed after construction and compare by identity: a copy is a
     different problem.
     """
@@ -98,41 +110,59 @@ class SdpProblem:
                  constraints: Optional[Sequence[Tuple[Sequence[np.ndarray], float]]] = None,
                  sense: str = "min", obj_offset: float = 0.0,
                  moment_meta: Optional[MomentMeta] = None, *,
-                 a_svec: Optional[np.ndarray] = None, rhs: Optional[Sequence[float]] = None):
+                 a_svec: Optional[np.ndarray] = None, rhs: Optional[Sequence[float]] = None,
+                 matching: Optional["MatchingSystem"] = None):
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        if (constraints is None) == (a_svec is None) or (a_svec is None) != (rhs is None):
-            raise ValueError("give either constraints or both a_svec and rhs")
+        if (sum(x is not None for x in (constraints, a_svec, matching)) != 1
+                or (constraints is None) == (rhs is None)):
+            raise ValueError("give either constraints, or rhs with a_svec or with matching")
         self.block_dims = tuple(int(d) for d in block_dims)
         self.cost_blocks = tuple(_symmetric(c, d, "cost")
                                  for c, d in zip(cost_blocks, self.block_dims))
         self.offsets = np.cumsum([0] + [svec_dim(d) for d in self.block_dims])
-        if constraints is None:
-            # A copy of its own, made read-only below, in C order: a JSON round
-            # trip gives C order, and the two orders solve to different bits.
-            a_svec = np.array(a_svec, dtype=float, order="C")
-        else:
+        self.matching = matching
+        if constraints is not None:
             constraints = list(constraints)
             a_svec = np.zeros((int(self.offsets[-1]), len(constraints)))
             for j, (mats, _) in enumerate(constraints):
                 a_svec[:, j] = self.pack(
                     [_symmetric(a, d, "constraint") for a, d in zip(mats, self.block_dims)])
             rhs = [float(b) for _, b in constraints]
-        self.a_svec = a_svec
+        elif a_svec is not None:
+            # A copy of its own, made read-only below, in C order: a JSON round
+            # trip gives C order, and the two orders solve to different bits.
+            a_svec = np.array(a_svec, dtype=float, order="C")
         self.rhs = np.array(rhs, dtype=float)
         if self.rhs.ndim != 1:
             raise ValueError(f"rhs has shape {self.rhs.shape}, not one value per constraint")
         want = (int(self.offsets[-1]), self.rhs.size)
-        if self.a_svec.shape != want:
+        shape = a_svec.shape if matching is None else (matching.dim, matching.rank)
+        if shape != want:
             raise ValueError(
-                f"a_svec has shape {self.a_svec.shape}, but block_dims {list(self.block_dims)} "
-                f"and {self.rhs.size} right-hand sides need {want}")
-        if not (np.isfinite(self.a_svec).all() and np.isfinite(self.rhs).all()):
+                f"{'a_svec' if matching is None else 'the matching system'} has shape {shape}, "
+                f"but block_dims {list(self.block_dims)} and {self.rhs.size} right-hand "
+                f"sides need {want}")
+        if not (np.isfinite(self.rhs).all() and (a_svec is None or np.isfinite(a_svec).all())):
             raise ValueError("the constraint matrix or right-hand side has a non-finite entry")
-        self.a_svec.flags.writeable = self.rhs.flags.writeable = False
+        if a_svec is not None:
+            a_svec.flags.writeable = False
+            self.a_svec = a_svec  # stored: it shadows the property below
+        self.rhs.flags.writeable = False
         self.sense = sense
         self.obj_offset = obj_offset
         self.moment_meta = moment_meta
+
+    @cached_property
+    def a_svec(self) -> np.ndarray:
+        """A matching system's constraint matrix, formed on first use as the
+        compiler once stored it: (col / w) * w for each column of
+        MatchingSystem.columns(), w the stacked svec weights, which is
+        svec(smat(col)) block by block in the same floating-point operations."""
+        weights = np.concatenate([svec_weights(d) for d in self.block_dims])[:, None]
+        a_svec = np.array((self.matching.columns() / weights) * weights, order="C")
+        a_svec.flags.writeable = False
+        return a_svec
 
     @cached_property
     def reduction(self) -> "RestrictedReduction":
@@ -155,7 +185,7 @@ class SdpProblem:
 
     @property
     def num_constraints(self) -> int:
-        return self.a_svec.shape[1]
+        return self.rhs.size
 
     @property
     def constraints(self) -> List[Tuple[Tuple[np.ndarray, ...], float]]:
@@ -174,19 +204,27 @@ class SdpProblem:
         """Per-block row ranges of an array whose rows are stacked like a_svec's."""
         return [arr[lo:hi] for lo, hi in zip(self.offsets[:-1], self.offsets[1:])]
 
+    def apply_a(self, y: np.ndarray) -> np.ndarray:
+        """A y = sum_j y_j svec(A_j), through the matching system if there is one."""
+        return self.a_svec @ y if self.matching is None else self.matching.apply(y)
+
+    def apply_at(self, x: np.ndarray) -> np.ndarray:
+        """A'x = (<svec(A_j), x>)_j, through the matching system if there is one."""
+        return self.a_svec.T @ x if self.matching is None else self.matching.apply_t(x)
+
     # -- the two readings ----------------------------------------------
     def dual_slack(self, y: np.ndarray) -> List[np.ndarray]:
         """S_b = C_b - sum_j y_j A_{j,b}."""
-        return [c - a for c, a in zip(self.cost_blocks, self.unpack(self.a_svec @ y))]
+        return [c - a for c, a in zip(self.cost_blocks, self.unpack(self.apply_a(y)))]
 
     def constraint_values(self, x_blocks: Sequence[np.ndarray]) -> np.ndarray:
         """<A_j, X> per constraint; the X blocks need not be symmetric."""
-        return self.a_svec.T @ self.pack([sym(x) for x in x_blocks])
+        return self.apply_at(self.pack([sym(x) for x in x_blocks]))
 
     def primal_cost(self, x_blocks: Sequence[np.ndarray]) -> float:
         return sum(float(np.tensordot(c, x)) for c, x in zip(self.cost_blocks, x_blocks))
 
-    # -- JSON: cost blocks as coordinates, constraints packed -------------
+    # -- JSON: cost blocks as coordinates, constraints as stored -----------
     def to_json_dict(self) -> dict:
         data = {
             "type": "sdp_problem",
@@ -194,9 +232,12 @@ class SdpProblem:
             "block_dims": list(self.block_dims),
             "obj_offset": self.obj_offset,
             "cost_blocks": [_mat_coords(c) for c in self.cost_blocks],
-            "a_svec": _packed(self.a_svec),
-            "rhs": _packed(self.rhs),
         }
+        if self.matching is None:
+            data["a_svec"] = _packed(self.a_svec)
+        else:
+            data["matching"] = self.matching.to_json_dict()
+        data["rhs"] = _packed(self.rhs)
         if self.moment_meta is not None:
             data["moment_meta"] = {
                 "block": self.moment_meta.block,
@@ -210,33 +251,52 @@ class SdpProblem:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SdpProblem":
-        """Reads the packed form ("a_svec" and "rhs") or the coordinate form
-        ("constraints"), whichever the document has."""
-        dims = [int(d) for d in data["block_dims"]]
-        costs = tuple(
-            _mat_from_coords(c, d) for c, d in zip(data["cost_blocks"], dims)
-        )
-        if "a_svec" in data:
-            system = dict(a_svec=_unpacked(data["a_svec"], "a_svec"),
-                          rhs=_unpacked(data["rhs"], "rhs"))
+        """Reads the packed form ("a_svec" and "rhs"), the coordinate form
+        ("constraints") or the matching form ("matching" and "rhs"),
+        whichever the document has; see the module docstring."""
+        _object(data, "the problem", {"block_dims", "cost_blocks"},
+                {"type", "sense", "obj_offset", "moment_meta"} | _SYSTEM_KEYS)
+        if data.get("type", "sdp_problem") != "sdp_problem":
+            raise ValueError(f"type must be 'sdp_problem', got {data['type']!r}")
+        dims = data["block_dims"]
+        if not (isinstance(dims, list) and all(_is_int(d) and d >= 1 for d in dims)):
+            raise ValueError(f"block_dims must be a list of integers of at least 1, got {dims!r}")
+        costs = _per_block(data["cost_blocks"], "cost_blocks", dims)
+        costs = tuple(_mat_from_coords(c, d, f"cost_blocks[{b}]")
+                      for b, (c, d) in enumerate(zip(costs, dims)))
+        form = data.keys() & _SYSTEM_KEYS
+        if form == {"a_svec", "rhs"}:
+            system = dict(a_svec=_unpacked(data["a_svec"], "a_svec"))
+        elif form == {"matching", "rhs"}:
+            system = dict(matching=_matching_from_json(data["matching"],
+                                                       sum(map(svec_dim, dims))))
+        elif form == {"constraints"}:
+            system = dict(constraints=_constraints_from_json(data["constraints"], dims))
         else:
-            system = dict(constraints=[
-                (
-                    tuple(_mat_from_coords(a, d) for a, d in zip(entry["blocks"], dims)),
-                    float(entry["rhs"]),
-                )
-                for entry in data["constraints"]
-            ])
+            raise ValueError("the problem needs its constraints as a_svec and rhs, as "
+                             f"matching and rhs, or as constraints; it has {sorted(form)}")
+        if "rhs" in form:
+            system["rhs"] = _unpacked(data["rhs"], "rhs")
+        obj_offset = data.get("obj_offset", 0.0)
+        if not _is_number(obj_offset):
+            raise ValueError(f"obj_offset must be a finite number, got {obj_offset!r}")
         meta = None
         if "moment_meta" in data:
-            m = data["moment_meta"]
-            basis = monomial_basis(int(m["num_vars"]), int(m["max_degree"]))
-            meta = MomentMeta(block=int(m["block"]), basis=basis, rows=gram_map(basis).rows)
+            m = _object(data["moment_meta"], "moment_meta", {"block", "num_vars", "max_degree"})
+            for key in ("block", "num_vars", "max_degree"):
+                if not (_is_int(m[key]) and m[key] >= 0):
+                    raise ValueError(f"moment_meta.{key} must be an integer of at least 0, "
+                                     f"got {m[key]!r}")
+            if m["block"] >= len(dims):
+                raise ValueError(f"moment_meta.block is {m['block']}, but there are "
+                                 f"{len(dims)} blocks")
+            basis = monomial_basis(m["num_vars"], m["max_degree"])
+            meta = MomentMeta(block=m["block"], basis=basis, rows=gram_map(basis).rows)
         return SdpProblem(
             block_dims=tuple(dims),
             cost_blocks=costs,
             sense=data.get("sense", "min"),
-            obj_offset=float(data.get("obj_offset", 0.0)),
+            obj_offset=float(obj_offset),
             moment_meta=meta,
             **system,
         )
@@ -246,33 +306,130 @@ class SdpProblem:
         return SdpProblem.from_json_dict(json.loads(text))
 
 
+class MatchingSystem:
+    """The coefficient-matching system of a compiled program, whose constraint
+    columns are never formed unless a reader needs their entries.
+
+    R (rows x dim) maps svec of the stacked Gram blocks to the coefficients
+    of the certificate identity.  The constraint columns are A = [lam, K]:
+    K an orthonormal basis of the kernel of R and, when a lower-bound vector
+    l is given, lam, the minimum-norm solution of R lam = l, orthogonal to
+    K.  One column-pivoted QR of R', R' P = Q T (_linalg.PivotedQR), holds
+    both: K is Q's trailing dim - k columns, k the QR's rank, and
+    lam = Q [u; 0] with u = T_k^-T l[piv[:k]].  So
+
+      - A'A = diag(|u|^2, I): A has full column rank, its Gram solve is a
+        division, and b is always in the range of A' (no ray);
+      - the complement of A's range is Q [H; 0], H an orthonormal basis of
+        the complement of u in R^k (all of R^k when there is no l);
+      - A y = Q [u y_0; y_1:] and A'x = [u'(Q'x)_:k; (Q'x)_k:], through the
+        reflectors.
+
+    It serves RestrictedReduction as PivotedQR serves a packed a_svec: rank,
+    independent, solve_gram, ray and complement.
+    """
+
+    def __init__(self, matrix: np.ndarray, lower: Optional[np.ndarray] = None):
+        self.matrix = np.array(matrix, dtype=float, order="C")
+        self.lower = None if lower is None else np.array(lower, dtype=float)
+        if self.lower is not None and self.lower.shape != self.matrix.shape[:1]:
+            raise ValueError(f"the lower-bound vector has shape {self.lower.shape}, "
+                             f"not one entry per row of the {self.matrix.shape} matching map")
+        if not all(np.isfinite(a).all() for a in (self.matrix, self.lower) if a is not None):
+            raise ValueError("the matching system has a non-finite entry")
+        for a in (self.matrix, self.lower):
+            if a is not None:
+                a.flags.writeable = False
+        self.qr = PivotedQR(self.matrix.T)
+        self.dim = self.matrix.shape[1]
+        self._u = None if self.lower is None else self.qr.leading(self.lower)
+        self._u_sq = None if self._u is None else float(self._u @ self._u)
+        if self._u_sq == 0.0:
+            raise ValueError("the lower-bound vector has no part in the range of the matching map")
+        # A has full column rank, so its rank is its number of columns.
+        self.rank = self.dim - self.qr.rank + (self._u is not None)
+        self.independent = np.arange(self.rank)
+
+    def columns(self) -> np.ndarray:
+        """[lam, K], formed, as the compiler once stored them."""
+        kernel = self.qr.complement()
+        if self.lower is None:
+            return kernel
+        return np.column_stack([self.qr.min_norm_solve(self.lower), kernel])
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """A y."""
+        k, lead = self.qr.rank, int(self._u is not None)
+        z = np.zeros((self.dim, 1), order="F")
+        if lead:
+            z[:k, 0] = self._u * y[0]
+        z[k:, 0] = y[lead:]
+        return self.qr.apply_q(z)[:, 0]
+
+    def apply_t(self, x: np.ndarray) -> np.ndarray:
+        """A'x."""
+        k = self.qr.rank
+        q = self.qr.apply_q(np.array(x, dtype=float).reshape(-1, 1), transpose=True)[:, 0]
+        return q[k:] if self._u is None else np.concatenate(([self._u @ q[:k]], q[k:]))
+
+    def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
+        """z with A'A z = rhs, for a vector or a (cols, j) array."""
+        z = np.array(rhs, dtype=float)
+        if self._u is not None:
+            z[0] = z[0] / self._u_sq
+        return z
+
+    def ray(self, rhs: np.ndarray) -> None:
+        """None: A has full column rank, so every rhs is in the range of A'."""
+        return None
+
+    def complement(self) -> np.ndarray:
+        """Orthonormal basis of the complement of A's range, Q [H; 0]."""
+        k = self.qr.rank
+        head = np.eye(k) if self._u is None else PivotedQR(self._u[:, None]).complement()
+        z = np.zeros((self.dim, head.shape[1]), order="F")
+        z[:k] = head
+        return self.qr.apply_q(z)
+
+    def to_json_dict(self) -> dict:
+        rows, cols = np.nonzero(_stored(self.matrix))
+        data = {"shape": list(self.matrix.shape), "i": rows.tolist(), "j": cols.tolist(),
+                "v": self.matrix[rows, cols].tolist()}
+        if self.lower is not None:
+            data["lower_bound"] = self.lower.tolist()
+        return data
+
+
 class RestrictedReduction:
     """Elimination of y from S = C - sum_j y_j A_j, shared by every restricted
     dual of one base problem: rows perp' svec(S) = perp' svec(C), cost
     w_obj = A z with A'A z = b, and y recovered from S by the Gram solve.
 
-    One column-pivoted QR of A, A P = Q R (_linalg.PivotedQR), serves all of
-    it at any rank, by its one rank rule: perp is its complement basis, the
-    Gram solve its basic solution, and `ray`, if b is not in the range of A',
-    a d with A d = 0 and b'd > 0: the min side of the pair and of every
-    restriction is infeasible.  A full-rank A has no ray."""
+    One factorization serves all of it: the base's MatchingSystem, whose QR
+    its compile took, or else one column-pivoted QR of a_svec, A P = Q R
+    (_linalg.PivotedQR), at any rank, by its one rank rule.  perp is its
+    complement basis, the Gram solve its basic solution, and `ray`, if b is
+    not in the range of A', a d with A d = 0 and b'd > 0: the min side of
+    the pair and of every restriction is infeasible.  A full-rank A, such
+    as every matching system's, has no ray.  A and A' are applied by the
+    base (SdpProblem.apply_a, apply_at), so a matching system's A is never
+    formed here."""
 
     def __init__(self, base: SdpProblem):
-        self.base, self.a_mat, self.c_vec = base, base.a_svec, base.pack(base.cost_blocks)
-        self._qr = PivotedQR(self.a_mat)
-        self.rank, self.solve_gram = self._qr.rank, self._qr.solve_gram
-        self.ray = self._qr.ray(base.rhs)
-        self.independent = np.sort(self._qr.piv[:self.rank])  # A's independent columns
-        self.w_obj = self.a_mat @ self.solve_gram(base.rhs)
+        self.base, self.c_vec = base, base.pack(base.cost_blocks)
+        self._factored = base.matching if base.matching is not None else PivotedQR(base.a_svec)
+        self.rank, self.solve_gram = self._factored.rank, self._factored.solve_gram
+        self.ray = self._factored.ray(base.rhs)
+        self.independent = self._factored.independent  # A's independent columns
+        self.w_obj = base.apply_a(self.solve_gram(base.rhs))
         self.const = float(self.w_obj @ self.c_vec) + base.obj_offset
 
     # Only the interior-point layout reads the complement basis, so the
     # consensus solver never applies the reflectors.
     @cached_property
     def perp(self) -> np.ndarray:
-        """Orthonormal basis of the complement of span{svec(A_j)}: the trailing
-        dim - rank columns of Q."""
-        return self._qr.complement()
+        """Orthonormal basis of the complement of span{svec(A_j)}: dim - rank columns."""
+        return self._factored.complement()
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -285,7 +442,7 @@ class RestrictedReduction:
 
     def recover_y(self, slacks: Sequence[np.ndarray]) -> np.ndarray:
         """y of sum_j y_j A_j + S = C, one slack matrix S_b per block."""
-        return self.solve_gram(self.a_mat.T @ (self.c_vec - self.base.pack(slacks)))
+        return self.solve_gram(self.base.apply_at(self.c_vec - self.base.pack(slacks)))
 
     def moment_matrices(self, w: np.ndarray) -> List[np.ndarray]:
         return self.base.unpack(self.w_obj - self.perp @ w)
@@ -303,11 +460,17 @@ def _symmetric(mat, dim: int, what: str) -> np.ndarray:
     return mat
 
 
+def _stored(vals: np.ndarray) -> np.ndarray:
+    """Which entries a coordinate form keeps: all but +0.0, so that a
+    negative zero reads back to its own bits."""
+    return (vals != 0.0) | np.signbit(vals)
+
+
 def _mat_coords(mat: np.ndarray) -> dict:
     n = mat.shape[0]
     ia, ib = triu_indices(n)
     vals = mat[ia, ib]
-    keep = vals != 0.0
+    keep = _stored(vals)
     return {
         "i": ia[keep].tolist(),
         "j": ib[keep].tolist(),
@@ -321,8 +484,80 @@ def _packed(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "float64_le": base64.b64encode(raw).decode("ascii")}
 
 
-def _unpacked(data: dict, what: str) -> np.ndarray:
-    shape = tuple(int(s) for s in data["shape"])
+# -- the strict reader ------------------------------------------------------
+
+_SYSTEM_KEYS = frozenset({"a_svec", "matching", "constraints", "rhs"})
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """Whether value is a JSON number that a finite float holds."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond any float
+        return False
+
+
+def _object(value, name: str, required, optional=frozenset()) -> dict:
+    """value, checked to be a JSON object with the required keys and no
+    keys but those and the optional ones."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    for key in sorted(set(required) - value.keys()):
+        raise ValueError(f"{name} lacks the field {key!r}")
+    for key in sorted(value.keys() - set(required) - set(optional)):
+        raise ValueError(f"{name} has an unknown field {key!r}")
+    return value
+
+
+def _per_block(value, name: str, dims) -> list:
+    if not (isinstance(value, list) and len(value) == len(dims)):
+        raise ValueError(f"{name} must be a list of {len(dims)} entries, one per block")
+    return value
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    if not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ValueError(f"{name} must be a list of finite numbers")
+    return np.array(value, dtype=float)
+
+
+def _coords(data: dict, name: str, shape) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, columns and values of a coordinate object {"i", "j", "v"}
+    of a matrix of the given shape."""
+    index = []
+    for key, size in zip("ij", shape):
+        vals = data[key]
+        if not (isinstance(vals, list) and all(map(_is_int, vals))):
+            raise ValueError(f"{name}.{key} must be a list of integers")
+        if vals and not 0 <= min(vals) <= max(vals) < size:
+            raise ValueError(f"{name}.{key} has an index outside 0..{size - 1}")
+        index.append(np.array(vals, dtype=int))
+    vals = _numbers(data["v"], f"{name}.v")
+    if not index[0].size == index[1].size == vals.size:
+        raise ValueError(f"{name}.i, .j and .v must be of one length, not {index[0].size}, "
+                         f"{index[1].size} and {vals.size}")
+    return index[0], index[1], vals
+
+
+def _mat_from_coords(data, n: int, name: str) -> np.ndarray:
+    ii, jj, vv = _coords(_object(data, name, {"i", "j", "v"}), name, (n, n))
+    out = np.zeros((n, n))
+    out[ii, jj] = vv
+    out[jj, ii] = vv
+    return out
+
+
+def _unpacked(data, what: str) -> np.ndarray:
+    _object(data, what, {"shape", "float64_le"})
+    shape = data["shape"]
+    if not (isinstance(shape, list) and all(map(_is_int, shape))):
+        raise ValueError(f"{what}.shape must be a list of integers, got {shape!r}")
+    if not isinstance(data["float64_le"], str):
+        raise ValueError(f"{what}.float64_le must be a base64 string")
     try:
         raw = base64.b64decode(data["float64_le"], validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII string
@@ -332,16 +567,39 @@ def _unpacked(data: dict, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _mat_from_coords(data: dict, n: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    ii = np.asarray(data["i"], dtype=int)
-    jj = np.asarray(data["j"], dtype=int)
-    vv = np.asarray(data["v"], dtype=float)
-    for idx in (ii, jj):
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError(f"matrix coordinate outside 0..{n - 1} of a {n}x{n} block")
-    out[ii, jj] = vv
-    out[jj, ii] = vv
+def _matching_from_json(data, dim: int) -> MatchingSystem:
+    _object(data, "matching", {"shape", "i", "j", "v"}, {"lower_bound"})
+    shape = data["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(_is_int(s) and s >= 0 for s in shape)):
+        raise ValueError(f"matching.shape must be two integers of at least 0, got {shape!r}")
+    if shape[1] != dim:
+        raise ValueError(f"matching.shape {shape} has {shape[1]} columns, but block_dims "
+                         f"need {dim}")
+    rows, cols, vals = _coords(data, "matching", shape)
+    matrix = np.zeros(shape)
+    matrix[rows, cols] = vals
+    lower = None
+    if "lower_bound" in data:
+        lower = _numbers(data["lower_bound"], "matching.lower_bound")
+        if lower.size != shape[0]:
+            raise ValueError(f"matching.lower_bound has {lower.size} entries, but "
+                             f"matching.shape {shape} has {shape[0]} rows")
+    return MatchingSystem(matrix, lower)
+
+
+def _constraints_from_json(data, dims) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"constraints must be a list, got {data!r}")
+    out = []
+    for k, entry in enumerate(data):
+        name = f"constraints[{k}]"
+        _object(entry, name, {"rhs", "blocks"})
+        if not _is_number(entry["rhs"]):
+            raise ValueError(f"{name}.rhs must be a finite number, got {entry['rhs']!r}")
+        blocks = _per_block(entry["blocks"], f"{name}.blocks", dims)
+        out.append((tuple(_mat_from_coords(a, d, f"{name}.blocks[{b}]")
+                          for b, (a, d) in enumerate(zip(blocks, dims))), float(entry["rhs"])))
     return out
 
 
@@ -390,40 +648,35 @@ def matching_program(
     (minus lambda * lower_bound_poly when a lower bound variable is requested,
     in which case the objective maximizes lambda).
 
-    The constraint columns are packed straight into a_svec: (col / w) * w
-    with w the stacked svec weights is svec(smat(col)) block by block, in the
-    same floating-point operations, so no constraint matrix is formed.
+    The problem stores the coefficient-matching system (MatchingSystem), so
+    no constraint column is formed.  Block functionals become right-hand
+    sides b_j = -<L, A_j>, which are -K' svec(L), applied through the
+    system's reflectors.
     """
-    dims, c_vec, cols, rhs = _matching_columns(blocks, target, lower_bound_poly)
+    dims, c_vec, system = _matching_system(blocks, target, lower_bound_poly)
     offsets = np.cumsum([0] + [svec_dim(d) for d in dims])
-
-    def split(vec: np.ndarray) -> Tuple[np.ndarray, ...]:
-        return tuple(smat(vec[lo:hi], d) for lo, hi, d in zip(offsets[:-1], offsets[1:], dims))
-
-    cost_blocks = split(c_vec)
+    cost_blocks = tuple(smat(c_vec[lo:hi], d)
+                        for lo, hi, d in zip(offsets[:-1], offsets[1:], dims))
     obj_offset = 0.0
+    rhs = np.zeros(system.rank)
+    if lower_bound_poly is not None:
+        rhs[0] = 1.0
     if any(spec.objective is not None for spec in blocks):
         if lower_bound_poly is not None:
             # Lower bound and block functionals are not combined in any caller.
             raise NotImplementedError("objective functionals with a lower bound variable")
+        obj_offset = sum(float(np.tensordot(spec.objective, mat))
+                         for spec, mat in zip(blocks, cost_blocks) if spec.objective is not None)
+        rhs = -system.apply_t(np.concatenate([
+            np.zeros(svec_dim(d)) if spec.objective is None else svec(sym(spec.objective))
+            for spec, d in zip(blocks, dims)]))
 
-        def functional(mats) -> float:
-            val = 0.0
-            for spec, mat in zip(blocks, mats):
-                if spec.objective is not None:
-                    val += float(np.tensordot(spec.objective, mat))
-            return val
-
-        obj_offset = functional(cost_blocks)
-        rhs = np.array([-functional(split(col)) for col in cols.T])
-
-    weights = np.concatenate([svec_weights(d) for d in dims])[:, None]
     mb = blocks[moment_block].basis
     meta = MomentMeta(block=moment_block, basis=mb, rows=gram_map(mb).rows)
     return SdpProblem(
         block_dims=tuple(dims),
         cost_blocks=cost_blocks,
-        a_svec=(cols / weights) * weights,
+        matching=system,
         rhs=rhs,
         sense="max",
         obj_offset=obj_offset,
@@ -431,18 +684,14 @@ def matching_program(
     )
 
 
-def _matching_columns(blocks: List[GramBlockSpec], target: Polynomial,
-                      lower_bound_poly: Optional[Polynomial]):
+def _matching_system(blocks: List[GramBlockSpec], target: Polynomial,
+                     lower_bound_poly: Optional[Polynomial]):
     """The coefficient-matching system of matching_program in svec
     coordinates: (block sizes, the particular solution c of the target, the
-    constraint columns [lambda particular solution, kernel basis], their
-    right-hand sides).
+    MatchingSystem of the map R and the lower-bound polynomial's coefficients).
 
-    One pivoted QR of the transposed matching map, R' P = Q T
-    (_linalg.PivotedQR), gives all of it: the orthonormal kernel basis of R
-    is the trailing columns of Q, from the reflectors, and each particular
-    solution is the minimum-norm one, orthogonal to the kernel, from one
-    triangular solve with T.
+    The system's one pivoted QR of R' gives c too: the minimum-norm solution,
+    from one triangular solve, orthogonal to the kernel.
     """
     support: Dict[Monomial, int] = {}
 
@@ -487,14 +736,18 @@ def _matching_columns(blocks: List[GramBlockSpec], target: Polynomial,
             for mono, coeff in poly.terms.items():
                 R[support[mono], col] = R[support[mono], col] + coeff * scale
 
-    tvec = np.zeros(n_rows)
-    for mono, coeff in target.terms.items():
-        tvec[support[mono]] = coeff
+    def coefficients(poly: Polynomial) -> np.ndarray:
+        vec = np.zeros(n_rows)
+        for mono, coeff in poly.terms.items():
+            vec[support[mono]] = coeff
+        return vec
 
-    factored = PivotedQR(R.T)
+    tvec = coefficients(target)
+    lvec = None if lower_bound_poly is None else coefficients(lower_bound_poly)
+    system = MatchingSystem(R, lvec)
 
     def particular(rhs: np.ndarray, what: str) -> np.ndarray:
-        sol = factored.min_norm_solve(rhs)
+        sol = system.qr.min_norm_solve(rhs)
         resid = R @ sol - rhs
         bad = np.abs(resid) > RANGE_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
         if bad.any():
@@ -506,20 +759,9 @@ def _matching_columns(blocks: List[GramBlockSpec], target: Polynomial,
         return sol
 
     c_vec = particular(tvec, "target polynomial")
-    kernel = factored.complement()
-
-    lam_vec = None
-    if lower_bound_poly is not None:
-        lvec = np.zeros(n_rows)
-        for mono, coeff in lower_bound_poly.terms.items():
-            lvec[support[mono]] = coeff
-        lam_vec = particular(lvec, "lower-bound polynomial")
-
-    if lam_vec is None:
-        return dims, c_vec, kernel, np.zeros(kernel.shape[1])
-    rhs = np.zeros(1 + kernel.shape[1])
-    rhs[0] = 1.0
-    return dims, c_vec, np.column_stack([lam_vec, kernel]), rhs
+    if lvec is not None:
+        particular(lvec, "lower-bound polynomial")
+    return dims, c_vec, system
 
 
 def _ball_polynomial(num_vars: int, radius: float) -> Polynomial:

@@ -30,7 +30,9 @@ from sdpsketch.sketch import (
     restrict_dual,
     sample_ensemble,
 )
+from sdpsketch.polynomial import monomial_basis, parse_polynomial
 from sdpsketch.solver import SolverConfig, _conic_from_restricted, solve
+from sdpsketch.sos import SdpProblem, compile_pop
 
 
 DATA = Path(__file__).parent / "data"
@@ -68,7 +70,8 @@ def coordinate_form(prob) -> dict:
         return {"i": i[keep].tolist(), "j": j[keep].tolist(), "v": mat[i, j][keep].tolist()}
 
     doc = prob.to_json_dict()
-    del doc["a_svec"], doc["rhs"]
+    for key in ("a_svec", "matching", "rhs"):
+        doc.pop(key, None)
     doc["constraints"] = [{"rhs": b, "blocks": [coords(a) for a in mats]}
                           for mats, b in prob.constraints]
     return doc
@@ -223,18 +226,26 @@ class TestSweep:
 
     def test_coordinate_form_documents_still_load(self, tmp_path):
         # The coordinate form: one {"rhs", "blocks"} entry per constraint,
-        # as sweeps wrote base problems before the packed form.
+        # as sweeps wrote base problems before the packed form.  It solves
+        # to the bits of the packed form of the same matrices, and, on the
+        # dense path, within 1e-7 of the sweep's matching system.
         cfg = poc_config(tmp_path / "a", ranks=(3,), seeds=(0,))
         res = run_rank_sweep(cfg)
-        packed = load_problem(tmp_path / "a" / "problems" / "rank003_seed0.json")
-        doc = packed.to_json_dict()
-        doc["base"] = coordinate_form(packed.base)
+        cell = load_problem(tmp_path / "a" / "problems" / "rank003_seed0.json")
+        doc = cell.to_json_dict()
+        doc["base"] = coordinate_form(cell.base)
         path = tmp_path / "inline" / "cell.json"
         path.parent.mkdir()
         path.write_text(json.dumps(doc))
-        again, want = solve(load_problem(path)), solve(packed)
+        base = cell.base
+        packed = SdpProblem(block_dims=base.block_dims, cost_blocks=base.cost_blocks,
+                            a_svec=base.a_svec, rhs=base.rhs, sense=base.sense,
+                            obj_offset=base.obj_offset, moment_meta=base.moment_meta)
+        again, want = solve(load_problem(path)), solve(restrict_dual(packed, cell.ensembles))
+        value = res.cell(3, 0).objective
         assert again.status.value == want.status.value == res.cell(3, 0).status
-        assert again.objective == want.objective == res.cell(3, 0).objective
+        assert again.objective == want.objective
+        assert abs(again.objective - value) <= 1e-7 * (1 + abs(value))
 
     def test_timing_file_has_all_cells(self, tmp_path):
         res = run_rank_sweep(poc_config(tmp_path / "a"))
@@ -442,8 +453,13 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("fault, message", [
         ("base64", "base64"), ("bytes", "bytes"), ("nan", "non-finite"), ("shape", "shape")])
-    def test_malformed_packed_base_is_reported(self, tmp_path, fault, message):
-        cell = self.sweep_cell(tmp_path)
+    def test_malformed_packed_base_is_reported(self, tmp_path, rng, fault, message):
+        # a raw SDP's base keeps the packed a_svec; a compiled one stores its matching system
+        raw = tmp_path / "raw.json"
+        raw.write_text(random_feasible_sdp(rng, 4, 3).to_json())
+        run_rank_sweep(ExperimentConfig(kind="raw-sdp", problem_path=str(raw), ranks=(2,),
+                                        seeds=(0,), samples=3, out_dir=str(tmp_path / "s")))
+        cell = tmp_path / "s" / "problems" / "rank002_seed0.json"
         base = cell.parent / "base.json"
         data = json.loads(base.read_text())
         packed = data["a_svec"]
@@ -646,6 +662,89 @@ class TestCliSolve:
                                    "--out", str(tmp_path / "s")])
         assert msg.startswith(f"error: {field} ")
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"kind": "raw-sdp", "problem_path": 7}, "problem_path"),
+        ({"kind": "pop", "problem_path": 7}, "problem_path"),
+        ({"kind": "POP"}, "kind"), ({"kind": 1}, "kind"), ({"out_dir": 5}, "out_dir"),
+        ({"grid_halfwidth": True}, "grid_halfwidth"), ({"grid_halfwidth": 0}, "grid_halfwidth"),
+    ])
+    def test_config_field_of_the_wrong_type_or_value_is_reported(self, tmp_path, config, field):
+        # a number as problem_path once ended in a TypeError traceback or
+        # reached open(7); true as grid_halfwidth rendered a grid on [-1, 1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        for command in ("sweep", "density"):
+            msg = self.one_line_error([command, "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "s")])
+            assert msg.startswith(f"error: {field} ")
+        assert not (tmp_path / "s").exists()
+
+    @staticmethod
+    def problem_document(form: str) -> dict:
+        if form == "coordinate":
+            return coordinate_form(random_feasible_sdp(np.random.default_rng(3), 3, 2))
+        if form == "packed":
+            return random_feasible_sdp(np.random.default_rng(3), 3, 2).to_json_dict()
+        return compile_pop(parse_polynomial("x1^2 - 2*x1 + 2", 1),
+                           monomial_basis(1, 1)).to_json_dict()
+
+    @pytest.mark.parametrize("form, fault, field", [
+        ("packed", "extra", "extra"), ("coordinate", "extra", "extra"),
+        ("matching", "extra", "extra"), ("matching", "extra_in_matching", "other"),
+        ("packed", "block_dims", "block_dims"), ("coordinate", "obj_offset", "obj_offset"),
+        ("packed", "rhs", "rhs"), ("coordinate", "rhs", "constraints[0].rhs"),
+        ("matching", "rhs", "rhs"), ("packed", "cost_block", "cost_blocks[0].v"),
+        ("coordinate", "sense", "sense"), ("matching", "moment_meta", "moment_meta.block"),
+        ("matching", "row", "matching.i"), ("matching", "column", "matching.j"),
+        ("matching", "non-finite", "matching.v"), ("matching", "shape", "matching.shape"),
+        ("matching", "lengths", "matching.i"), ("matching", "lower_bound", "matching.lower_bound"),
+        ("matching", "lower_bound_size", "matching.lower_bound"),
+        ("matching", "two_forms", "a_svec"),
+    ])
+    def test_malformed_problem_document_is_reported(self, tmp_path, form, fault, field):
+        # an unknown key once solved with exit 0
+        doc = self.problem_document(form)
+        matching = doc.get("matching")
+        if fault == "extra":
+            doc["extra"] = 1
+        elif fault == "extra_in_matching":
+            matching["other"] = []
+        elif fault == "block_dims":
+            doc["block_dims"] = [2.0]
+        elif fault == "obj_offset":
+            doc["obj_offset"] = "0"
+        elif fault == "rhs":
+            if form == "coordinate":
+                doc["constraints"][0]["rhs"] = "1.0"
+            else:
+                doc["rhs"] = [1.0, 2.0]
+        elif fault == "cost_block":
+            doc["cost_blocks"][0]["v"][0] = True
+        elif fault == "sense":
+            doc["sense"] = 1
+        elif fault == "moment_meta":
+            doc["moment_meta"]["block"] = 9
+        elif fault == "row":
+            matching["i"][0] = matching["shape"][0]
+        elif fault == "column":
+            matching["j"][-1] = -1
+        elif fault == "non-finite":
+            matching["v"][1] = float("nan")
+        elif fault == "shape":
+            matching["shape"][1] += 1
+        elif fault == "lengths":
+            matching["i"].pop()
+        elif fault == "lower_bound":
+            matching["lower_bound"] = "1"
+        elif fault == "lower_bound_size":
+            matching["lower_bound"].append(0.0)
+        else:
+            doc["a_svec"] = doc["rhs"]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        msg = self.one_line_error(["solve", str(path)])
+        assert str(path) in msg and field in msg
 
     def test_consensus_mode_rejects_sdp_problem(self, tmp_path, rng):
         path = self.write(tmp_path, random_feasible_sdp(rng, 4, 2))

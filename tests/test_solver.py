@@ -135,8 +135,12 @@ class TestPairRows:
         assert np.allclose(ops.adjoint_blocks(w)[0][0], want, atol=1e-12)
 
     def test_reduction_reads_the_problems_matrix(self, rng):
+        # a raw problem's reduction factors its a_svec; a compiled one's
+        # reuses the compile's QR of its matching system
         prob = random_feasible_sdp(rng, 4, 3)
-        assert prob.reduction.a_mat is prob.a_svec
+        assert np.array_equal(prob.reduction._factored.r, _linalg.PivotedQR(prob.a_svec).r)
+        pop = default_pop_problem()
+        assert pop.reduction._factored is pop.matching
 
 
 def _with_sense(prob: SdpProblem, sense: str) -> SdpProblem:
@@ -369,6 +373,17 @@ class TestRay:
                 assert _reduced_form(pair) is not None
                 self.assert_ray(pair, solve(pair), status)
 
+    @pytest.mark.parametrize("mode", ["interior_point", "consensus"])
+    def test_a_ray_solve_writes_the_trace_header(self, tmp_path, mode):
+        # a trace path once got no file when the solve took no step
+        base = _rank_deficient_base(1.0)
+        path = tmp_path / "trace.csv"
+        sol = solve(restrict_dual(base, ensembles_for_problem(base, 4, 3, 0)),
+                    SolverConfig(mode=mode, trace_path=str(path)))
+        assert sol.iterations == 0 and sol.trace == []
+        assert path.read_text().splitlines() == [",".join(ipm.TRACE_FIELDS)]
+        assert ipm.TRACE_FIELDS[0] == "iteration" and ipm.TRACE_FIELDS[-1] == "step_fallbacks"
+
     def test_a_zero_constraint_matrix_has_the_ray_b(self):
         base = SdpProblem(block_dims=(2,), cost_blocks=(np.eye(2),), a_svec=np.zeros((3, 2)),
                           rhs=[1.0, -2.0])
@@ -383,8 +398,8 @@ class TestRay:
 
 class TestComplementBasis:
     def test_default_pop_basis_spans_the_svd_complement(self):
-        red = default_pop_problem().reduction
-        a_mat, perp = red.a_mat, red.perp
+        pop = default_pop_problem()
+        a_mat, perp = pop.a_svec, pop.reduction.perp
         dim, m = a_mat.shape
         assert perp.shape == (dim, dim - m) == (637, 90)
         assert np.abs(perp.T @ perp - np.eye(dim - m)).max() <= 1e-12
@@ -419,10 +434,12 @@ class TestComplementBasis:
         assert np.abs(a_svec @ red.solve_gram(a_svec.T @ v) - v).max() <= 1e-6 * np.abs(v).max()
 
     def test_full_rank_gram_solve_is_two_triangular_solves(self, rng):
-        red = default_pop_problem().reduction
-        assert red.rank == red.a_mat.shape[1] == 547
-        r, piv = red._qr.r, red._qr.piv
-        for rhs in (rng.standard_normal(547), rng.standard_normal((547, 2))):
+        # a raw problem's dense QR; a compiled problem's Gram system is diagonal
+        prob = random_feasible_sdp(rng, 12, 40)
+        red = prob.reduction
+        assert red.rank == prob.num_constraints == 40
+        r, piv = red._factored.r, red._factored.piv
+        for rhs in (rng.standard_normal(40), rng.standard_normal((40, 2))):
             want = np.empty_like(rhs)
             want[piv] = solve_triangular(r, solve_triangular(r, rhs[piv], trans="T"))
             assert np.array_equal(red.solve_gram(rhs), want)

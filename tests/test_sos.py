@@ -13,7 +13,7 @@ from sdpsketch.polynomial import (
     parse_polynomial,
 )
 from sdpsketch.sketch import ensembles_for_problem, restrict_dual
-from sdpsketch._linalg import smat
+from sdpsketch._linalg import PivotedQR, smat
 from sdpsketch.solver import Status, solve
 from sdpsketch.sos import SdpProblem, compile_pop, compile_sos, compile_sos_on_ball, gram_map
 
@@ -297,31 +297,137 @@ def constraint_list_problem(blocks, dims, c_vec, cols, lower_bound, moment_meta)
                       sense="max", obj_offset=obj_offset, moment_meta=moment_meta)
 
 
+def earlier_compile_columns(system) -> np.ndarray:
+    """The constraint columns [lambda, kernel] as the compiler once formed and
+    stored them: a pivoted QR of R', its complement and a min-norm solve."""
+    factored = PivotedQR(system.matrix.T)
+    kernel = factored.complement()
+    if system.lower is None:
+        return kernel
+    return np.column_stack([factored.min_norm_solve(system.lower), kernel])
+
+
 class TestCompiledPacking:
     def test_matching_program_packs_the_bits_of_the_constraint_list(self, monkeypatch):
+        # The lazily formed a_svec, rhs and cost blocks keep the bits of the
+        # compile that stored the kernel, so consensus iterates do not move.
         from sdpsketch import sos
         from sdpsketch.control import compile_poc
         from sdpsketch.instances import default_poc_problem, default_pop_problem
 
         calls = []
-        real = sos._matching_columns
+        real = sos._matching_system
 
         def recording(blocks, target, lower_bound_poly):
             out = real(blocks, target, lower_bound_poly)
-            calls.append((blocks, out, lower_bound_poly is not None))
+            calls.append((blocks, out))
             return out
 
-        monkeypatch.setattr(sos, "_matching_columns", recording)
+        monkeypatch.setattr(sos, "_matching_system", recording)
         for compiled in (default_pop_problem(), compile_poc(default_poc_problem())):
-            blocks, (dims, c_vec, cols, _), lower_bound = calls.pop(0)
-            want = constraint_list_problem(blocks, dims, c_vec, cols, lower_bound,
-                                           compiled.moment_meta)
+            blocks, (dims, c_vec, system) = calls.pop(0)
+            assert system is compiled.matching
+            want = constraint_list_problem(blocks, dims, c_vec, earlier_compile_columns(system),
+                                           system.lower is not None, compiled.moment_meta)
+            assert "a_svec" not in compiled.__dict__
             assert np.array_equal(compiled.a_svec, want.a_svec)
             assert np.array_equal(compiled.rhs, want.rhs)
             assert all(np.array_equal(a, b) for a, b in zip(compiled.cost_blocks, want.cost_blocks))
             assert compiled.obj_offset == want.obj_offset
-            # a sweep writes problems/base.json as these bytes
-            assert json.dumps(compiled.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def pop_degree_8():
+    from sdpsketch.instances import default_pop_problem
+
+    return default_pop_problem(8, multiplier_degree=7)
+
+
+def compiled(kind):
+    from sdpsketch.control import compile_poc
+    from sdpsketch.instances import default_poc_problem, default_pop_problem
+
+    return {"pop": default_pop_problem, "pop8": pop_degree_8,
+            "poc": lambda: compile_poc(default_poc_problem())}[kind]()
+
+
+class TestMatchingSystem:
+    """A compiled program keeps its matching system, and the reduction and the
+    applies of A come from its one QR of R', not from the formed a_svec."""
+
+    @pytest.mark.parametrize("kind", ["pop", "pop8", "poc"])
+    def test_reduction_matches_the_dense_qr_path(self, kind, rng):
+        prob = compiled(kind)
+        perp = prob.reduction.perp
+        assert "a_svec" not in prob.__dict__
+        a = prob.a_svec
+        dim, m = a.shape
+        assert prob.reduction.rank == m and prob.reduction.ray is None
+        assert perp.shape == (dim, dim - m)
+        assert np.abs(perp.T @ perp - np.eye(dim - m)).max() <= 1e-12
+        assert np.abs(a.T @ perp).max() <= 1e-12
+        dense = PivotedQR(a).complement()
+        assert np.abs(perp @ perp.T - dense @ dense.T).max() <= 1e-12
+        y, x = rng.standard_normal(m), rng.standard_normal(dim)
+        assert np.abs(prob.apply_a(y) - a @ y).max() <= 1e-12 * (1 + np.abs(y).max())
+        assert np.abs(prob.apply_at(x) - a.T @ x).max() <= 1e-12 * (1 + np.abs(x).max())
+        # A'A is diagonal, so the Gram solve is a division
+        gram = a.T @ a
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12
+        v = a @ y
+        assert np.abs(a @ prob.reduction.solve_gram(a.T @ v) - v).max() <= 1e-12 * np.abs(v).max()
+
+    @pytest.mark.parametrize("kind", ["pop", "poc"])
+    def test_json_round_trip_keeps_every_bit(self, kind):
+        prob = compiled(kind)
+        doc = prob.to_json_dict()
+        assert "a_svec" not in doc and ("lower_bound" in doc["matching"]) == (kind == "pop")
+        back = SdpProblem.from_json(json.dumps(doc))
+        assert back.matching.matrix.tobytes() == prob.matching.matrix.tobytes()
+        assert back.rhs.tobytes() == prob.rhs.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.cost_blocks, prob.cost_blocks))
+        assert back.reduction.perp.tobytes() == prob.reduction.perp.tobytes()
+        assert back.a_svec.tobytes() == prob.a_svec.tobytes()
+        assert json.dumps(back.to_json_dict()) == json.dumps(doc)
+
+    def test_no_reader_of_the_reduction_forms_a_svec(self):
+        from sdpsketch.solver import kkt_residuals
+
+        prob = pop_degree_8()
+        full = solve(prob)
+        assert full.status == Status.Optimal
+        # identity ensembles: the restricted dual is the pair, and Optimal
+        cell = restrict_dual(prob, ensembles_for_problem(prob, max(prob.block_dims), 1, seed=0))
+        assert solve(cell).status == Status.Optimal  # its KKT replay included
+        kkt_residuals(prob, full)
+        assert "a_svec" not in prob.__dict__
+
+    def test_one_consensus_solve_forms_a_svec_once(self, monkeypatch):
+        from sdpsketch.instances import default_pop_problem
+        from sdpsketch.solver import SolverConfig, solve_consensus
+        from sdpsketch.sos import MatchingSystem
+
+        formed = []
+        real = MatchingSystem.columns
+        monkeypatch.setattr(MatchingSystem, "columns",
+                            lambda self: formed.append(self) or real(self))
+        prob = default_pop_problem()
+        cell = restrict_dual(prob, ensembles_for_problem(prob, 3, 10, seed=0))
+        solve_consensus(cell, SolverConfig(admm_max_iterations=3))
+        assert formed == [prob.matching]
+
+    def test_packed_document_of_a_compiled_problem_solves_on_the_dense_path(self):
+        from sdpsketch.instances import default_pop_problem
+        from sdpsketch.sos import _packed
+
+        prob = default_pop_problem()
+        doc = prob.to_json_dict()
+        del doc["matching"]
+        doc["a_svec"] = _packed(prob.a_svec)
+        legacy = SdpProblem.from_json(json.dumps(doc))
+        assert legacy.matching is None
+        want, got = solve(prob), solve(legacy)
+        assert want.status == got.status == Status.Optimal
+        assert abs(got.objective - want.objective) <= 1e-7 * (1 + abs(want.objective))
 
 
 class TestPackedConstraints:
